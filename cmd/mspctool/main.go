@@ -23,7 +23,7 @@
 // demuxed into a sharded scoring pool — one calibrated model, thousands
 // of independent streams, per-plant verdicts plus aggregate throughput
 // counters. With -record, every received frame is appended to a capture
-// file:
+// segment chain:
 //
 //	mspctool fleet -cal noc-process.csv <interleaved.csv
 //	mspctool fleet -cal noc-process.csv -listen 127.0.0.1:7700 -max-obs 100000
@@ -36,11 +36,14 @@
 //
 //	mspctool replay -cal noc-process.csv -capture plant.cap -speed 100
 //
-// With -metrics, fleet and replay serve a shared ops endpoint: Prometheus
-// text exposition on /metrics, liveness + stall detection on /healthz, a
-// JSON per-unit health dump on /status and the net/http/pprof pages (the
-// old -pprof flag is a deprecated alias). The status subcommand renders a
-// running monitor's /status as a live per-unit table:
+// fleet, replay and serve all run one pipeline, internal/control's Plane;
+// fleet and replay are flag front ends to it. With -metrics, fleet and
+// replay serve the plane's ops endpoint and control API: Prometheus text
+// exposition on /metrics, liveness + stall detection on /healthz, a JSON
+// per-unit health dump on /status, the net/http/pprof pages and the
+// /units, /events, /config, /reload and /drain API (unauthenticated: the
+// flags set no token). The status subcommand renders a running monitor's
+// /status as a live per-unit table:
 //
 //	mspctool fleet -cal noc-process.csv -listen 127.0.0.1:7700 -metrics 127.0.0.1:9101
 //	mspctool status -watch 2s 127.0.0.1:9101
@@ -259,15 +262,14 @@ func adaptiveFlags(fs *flag.FlagSet, cmd string, every int, forget float64) (pcs
 }
 
 // onsetIndex converts an anomaly onset in hours to a retained-observation
-// index at the given sampling interval — the one geometry formula shared
-// by the batch, watch and fleet subcommands.
+// index at the given sampling interval, for the batch and watch
+// subcommands (the plane-backed ones use control.Config.OnsetIndex).
 func onsetIndex(onsetHour, sampleSec float64) int {
 	return int(onsetHour * 3600 / sampleSec)
 }
 
-// calibrateFrom builds the monitoring system from a NOC CSV — the one
-// calibration path shared by the batch, watch and fleet subcommands — and
-// prints the calibration summary.
+// calibrateFrom builds the monitoring system from a NOC CSV for the batch
+// and watch subcommands and prints the calibration summary.
 func calibrateFrom(calPath string, components int, out io.Writer) (*core.System, error) {
 	cal, err := readCSV(calPath)
 	if err != nil {

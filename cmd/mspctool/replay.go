@@ -4,26 +4,26 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"pcsmon"
+	"pcsmon/internal/control"
 	"pcsmon/internal/fieldbus"
 )
 
 // runReplay implements the replay subcommand: play a recorded frame
-// capture (written by `mspctool fleet -record`, or synthesized by any
-// tool emitting the internal/fieldbus capture format) back through the
-// same pairing → fleet path a live listener feeds, at a configurable
-// speed-up.
+// capture (written by `mspctool fleet -record` or serve's record.path, or
+// synthesized by any tool emitting the internal/fieldbus capture format)
+// back through a control plane — the same pipeline a live listener feeds
+// — at a configurable speed-up.
 //
 // The clock mapping is the whole trick: the capture's monotonic
 // timestamps form a virtual timeline that is (a) compressed by -speed for
-// wall-clock pacing and (b) handed to the pairing layer as its arrival
-// clock, so -pair-timeout keeps meaning *capture time* at any speed-up —
-// a 2s mate-loss horizon in the plant's timeline stays a 2s horizon
-// whether the capture replays at 1x or 1000x. With -speed 0 the capture
+// wall-clock pacing and (b) handed to the plane as its clock (pairing
+// arrival stamps and age horizon), so -pair-timeout keeps meaning
+// *capture time* at any speed-up — a 2s mate-loss horizon in the plant's
+// timeline stays a 2s horizon whether the capture replays at 1x or 1000x. With -speed 0 the capture
 // replays as fast as the scoring path can drain it (the virtual clock
 // still advances by the capture's stamps).
 func runReplay(args []string, out io.Writer) error {
@@ -44,15 +44,13 @@ func runReplay(args []string, out io.Writer) error {
 		pairWindow  = fs.Int("pair-window", 64, "reorder window for sensor/actuator frame pairing, in sequence numbers")
 		pairTimeout = fs.Duration("pair-timeout", 2*time.Second, "flush observations whose mate frame is this late in capture time (0 = never)")
 		batch       = fs.Int("batch", 0, "observations aggregated per worker delivery (0 = default 16, 1 = per-observation)")
-		metricsAddr = fs.String("metrics", "", "serve the ops endpoints (/metrics /healthz /status /debug/pprof/) on this address while the replay runs")
+		metricsAddr = fs.String("metrics", "", "serve the ops endpoints and the control API (/metrics /healthz /status /units /events /debug/pprof/ ...) on this address while the replay runs")
 		statsEvery  = fs.Duration("stats-every", 0, "print a live progress line with the fleet/pairing counters on this cadence (0 = off)")
-		pprofAddr   = fs.String("pprof", "", "deprecated alias for -metrics (pprof is served from the ops endpoint)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The event printer goroutine and the replay loop's attach/stall lines
-	// write concurrently.
+	// The plane's event pump and the replay loop write concurrently.
 	out = &syncWriter{w: out}
 	switch {
 	case *calPath == "" || *capPath == "":
@@ -85,31 +83,10 @@ func runReplay(args []string, out io.Writer) error {
 	case *statsEvery < 0:
 		return fmt.Errorf("mspctool replay: -stats-every %v must be >= 0: %w", *statsEvery, pcsmon.ErrBadConfig)
 	}
-	opsAddr, err := resolveOpsAddr("mspctool replay", *metricsAddr, *pprofAddr, out)
-	if err != nil {
-		return err
-	}
-	// The ops listener binds before the capture is opened or the model is
-	// calibrated so an unusable -metrics address fails up front. The
-	// replay's activity timestamp feeds its /healthz stall probe: a wedged
-	// replay (stuck capture source) reports stalled.
-	var observability *pcsmon.Observability
-	var lastSeen atomic.Int64
-	lastSeen.Store(time.Now().UnixNano())
-	totals := &fleetTotals{}
-	if opsAddr != "" {
-		observability = pcsmon.NewObservability()
-		ops, oerr := startOps("mspctool replay", opsAddr, observability, totals.totals,
-			func() time.Time { return time.Unix(0, lastSeen.Load()) }, out)
-		if oerr != nil {
-			return oerr
-		}
-		defer func() { _ = ops.Close() }()
-	}
-
 	// A chain reader replays either a single capture file or the rotated
-	// segment chain a durable -record store wrote, as one stream; the
-	// -from/-to window seeks via the sealed segments' index sidecars.
+	// segment chain a -record store wrote, as one stream; the -from/-to
+	// window seeks via the sealed segments' index sidecars. It opens before
+	// the plane so a bad capture fails before calibration.
 	copts := fieldbus.ChainOptions{From: *from, To: *to}
 	if *unit >= 0 {
 		copts.Units = []uint8{uint8(*unit)}
@@ -120,55 +97,33 @@ func runReplay(args []string, out io.Writer) error {
 	}
 	defer func() { _ = cr.Close() }()
 
-	sys, err := calibrateFrom(*calPath, *components, out)
-	if err != nil {
-		return err
-	}
-	onset := onsetIndex(*onsetHour, *sampleSec)
-	fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{
-		Workers:   *workers,
-		Batch:     *batch,
-		EmitEvery: *every,
-		Sample:    time.Duration(*sampleSec * float64(time.Second)),
-		Obs:       observability,
-	})
-	if err != nil {
-		return err
-	}
-	printer := startFleetPrinter(fl, *every, out)
-	fail := func(err error) error {
-		_ = fl.Close()
-		printer.wait()
-		return err
-	}
-
 	// The virtual clock: the capture timeline anchored at an arbitrary
-	// epoch. The replay loop advances it to each record's stamp; the
-	// pairing layer reads it as the arrival clock.
+	// epoch. The replay loop advances it to each record's stamp; the plane
+	// reads it as its arrival clock and leaves ticking to this loop.
 	epoch := time.Now()
 	var vnow atomic.Int64 // nanoseconds past epoch
-	clock := func() time.Time { return epoch.Add(time.Duration(vnow.Load())) }
-	pi, err := fl.NewPairingIngest(pcsmon.PairingOptions{
-		Window:  *pairWindow,
-		Timeout: *pairTimeout,
-		Onset:   onset,
-		Clock:   clock,
-		Dedup:   *dedup,
-		OnAttach: func(plant string) {
-			fmt.Fprintf(out, "plant %s attached\n", plant)
+	p, err := control.New(&control.Config{
+		Calibration:   *calPath,
+		SampleSeconds: *sampleSec,
+		OnsetHour:     *onsetHour,
+		Components:    *components,
+		Ops:           control.Ops{Addr: *metricsAddr},
+		Pairing: control.Pairing{
+			Window:         *pairWindow,
+			TimeoutSeconds: orNever(*pairTimeout),
+			Dedup:          *dedup,
 		},
-	}, func(ev pcsmon.FleetEvent) {
-		if s, ok := ev.Event.(pcsmon.ViewStalled); ok {
-			fmt.Fprintf(out, "VIEW STALL [%s] %s frames missing since obs %d — scoring hold-last-value (DoS-consistent)\n",
-				ev.Plant, s.View, s.Seq)
-		}
+		Fleet: control.FleetCfg{Workers: *workers, Batch: *batch, EmitEvery: max(*every, 0)},
+	}, control.Options{
+		Out:     out,
+		Clock:   func() time.Time { return epoch.Add(time.Duration(vnow.Load())) },
+		OnEvent: chartLines(*every, out),
 	})
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	totals.setFleet(fl)
-	totals.setPairing(pi)
-	stopStats := startStatsTicker(*statsEvery, totals, out)
+	defer func() { _ = p.Close() }()
+	stopStats := startStatsTicker(*statsEvery, p.Totals, out)
 	defer stopStats()
 
 	fmt.Fprintf(out, "replaying %s", *capPath)
@@ -205,7 +160,7 @@ func runReplay(args []string, out io.Writer) error {
 			// Mid-chain damage is real corruption (the chain reader already
 			// tolerates the one legitimate form of damage — a truncated tail
 			// in an unsealed final segment — by itself; see below).
-			return fail(fmt.Errorf("mspctool replay: %w", err))
+			return fmt.Errorf("mspctool replay: %w", err)
 		}
 		if !started {
 			first, started = ts, true
@@ -219,18 +174,16 @@ func runReplay(args []string, out io.Writer) error {
 			}
 		}
 		vnow.Store(int64(ts))
-		lastSeen.Store(time.Now().UnixNano())
-		offered, offerErr := pi.OfferFrame(f)
-		if offerErr != nil {
-			return fail(offerErr)
+		accepted := p.Accepted()
+		if err := p.Ingest(f); err != nil {
+			return err
 		}
-		if !offered {
+		if p.Accepted() == accepted {
 			continue // not an observation frame; skip like the live path
 		}
-		if *pairTimeout > 0 {
-			if err := pi.Tick(clock()); err != nil {
-				return fail(err)
-			}
+		// Age the pairing horizon at this frame's capture stamp.
+		if err := p.Tick(); err != nil {
+			return err
 		}
 	}
 	if terr := cr.Truncated(); terr != nil {
@@ -241,39 +194,25 @@ func runReplay(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "warning: %s: %v — replaying the %d readable frames\n",
 			*capPath, terr, cr.Delivered())
 	}
-	if err := pi.Flush(); err != nil {
-		return fail(err)
-	}
-
-	ids := pi.Plants()
-	sort.Strings(ids)
-	for _, id := range ids {
-		if _, err := fl.Detach(id); err != nil {
-			return fail(err)
-		}
-	}
-	stats := fl.Stats()
-	if err := fl.Close(); err != nil {
+	if err := p.Drain(); err != nil {
 		return err
 	}
-	printer.wait()
-
-	st := pi.Stats()
 	wall := time.Since(wallStart)
-	printPairingSummary(out, st)
-	if *dedup > 0 {
-		fmt.Fprintf(out, "dedup: %d redundant frames suppressed (window %d)\n", pi.Deduped(), *dedup)
+	totals := p.Totals()
+	if err := ingestFailures("mspctool replay", totals); err != nil {
+		return err
 	}
+	printIngestSummary(out, totals, *dedup, "")
 	if cr.SegmentsSkipped() > 0 {
 		fmt.Fprintf(out, "index seek: %d of %d segments skipped via index\n", cr.SegmentsSkipped(), cr.Segments())
 	}
-	printPlantReports(out, ids, printer)
+	printPlantReports(out, p.Reports())
 	effective := "∞"
 	if wall > 0 && span > 0 {
 		effective = fmt.Sprintf("%.0f", float64(span)/float64(wall))
 	}
-	fmt.Fprintf(out, "\nreplay: %d frames, capture span %v in %v (%sx effective), %d plants, %d observations, %d alarms\n",
+	fmt.Fprintf(out, "\nreplay: %d frames, capture span %v in %v (%sx effective), %.0f plants, %.0f observations, %.0f alarms\n",
 		cr.Delivered(), span.Round(time.Millisecond), wall.Round(time.Millisecond),
-		effective, stats.Attached, stats.Observations, stats.Alarms)
+		effective, totals["fleet_attached"], totals["fleet_observations"], totals["fleet_alarms"])
 	return nil
 }

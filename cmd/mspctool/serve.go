@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 
 	"pcsmon"
@@ -82,12 +81,7 @@ func runServe(args []string, out io.Writer) error {
 	}
 
 	reports := p.Reports()
-	ids := make([]string, 0, len(reports))
-	for id := range reports {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedUnits(reports) {
 		rep := reports[id]
 		fmt.Fprintf(out, "unit %s: %s\n  %s\n", id, rep.Verdict, rep.Explanation)
 	}

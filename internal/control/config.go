@@ -1,5 +1,7 @@
-// Package control is the monitor's control plane: the long-lived serve
-// mode that turns the flag-driven fleet CLI into a deployable service. It
+// Package control is the monitor's control plane and the one place the
+// pipeline (listeners → dedup → pairing → fleet → recorder → ops) is
+// assembled: `mspctool serve` runs it from a config file, and the fleet
+// and replay commands translate their flags into the same Config. It
 // owns the typed JSON config file (validated with field-path errors), the
 // mutating HTTP/JSON API mounted on the ops listener (attach/detach/drain
 // units, config introspection, live reload, an SSE event stream), and the
@@ -63,7 +65,8 @@ type Config struct {
 	Cluster Cluster `json:"cluster"`
 }
 
-// Listeners names the ingest sockets. At least one must be set.
+// Listeners names the ingest sockets. A config file must set at least
+// one.
 type Listeners struct {
 	// TCP accepts length-prefixed fieldbus frames ("127.0.0.1:7700").
 	TCP string `json:"tcp,omitempty"`
@@ -74,7 +77,8 @@ type Listeners struct {
 // Ops configures the ops/control HTTP listener.
 type Ops struct {
 	// Addr is the listen address of the ops + control API server
-	// (required: the control plane is the point of serve mode).
+	// (required in a config file: the control plane is the point of serve
+	// mode; "" in code runs no ops server).
 	Addr string `json:"addr"`
 	// AuthToken, when set, is required as "Authorization: Bearer <token>"
 	// on every mutating API request; reads stay open for scrapes.
@@ -128,13 +132,14 @@ type Adapt struct {
 	Forget float64 `json:"forget,omitempty"`
 }
 
-// Record configures the durable capture store. Any rotation/retention
-// field implies store mode (a rotating segment chain); a bare Path
-// records one plain capture file.
+// Record configures the durable capture store. A non-empty Path always
+// records a segment chain (`<path>.NNNNN.pcscap` plus index sidecars); the
+// rotation and retention fields tune it. The store refuses a Path where a
+// chain or a plain file already exists.
 type Record struct {
-	// Path is the capture file or segment-chain base ("" = no recording).
+	// Path is the segment-chain base ("" = no recording).
 	Path string `json:"path,omitempty"`
-	// SegmentBytes rotates segments at this size (store mode).
+	// SegmentBytes rotates segments at this size (0 = 64 MiB).
 	SegmentBytes int64 `json:"segment_bytes,omitempty"`
 	// SegmentSpanSeconds rotates segments at this much capture time.
 	SegmentSpanSeconds float64 `json:"segment_span_seconds,omitempty"`
@@ -196,6 +201,15 @@ func Parse(r io.Reader) (*Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// A serve file is the whole deployment: frames must have a way in and
+	// the control API a place to live. (A Config built in code may leave
+	// both empty and feed the plane through Ingest or Push.)
+	switch {
+	case cfg.Listeners.TCP == "" && cfg.Listeners.UDP == "":
+		return nil, badField("listeners", "at least one of listeners.tcp / listeners.udp is required")
+	case cfg.Ops.Addr == "":
+		return nil, badField("ops.addr", "required (the control API is served there)")
+	}
 	return &cfg, nil
 }
 
@@ -215,10 +229,6 @@ func (c *Config) Validate() error {
 		return badField("onset_hour", "%g must be >= 0", c.OnsetHour)
 	case c.Components < 0:
 		return badField("components", "%d must be >= 0", c.Components)
-	case c.Listeners.TCP == "" && c.Listeners.UDP == "":
-		return badField("listeners", "at least one of listeners.tcp / listeners.udp is required")
-	case c.Ops.Addr == "":
-		return badField("ops.addr", "required (the control API is served there)")
 	case c.Pairing.Window < 0:
 		return badField("pairing.window", "%d must be >= 0", c.Pairing.Window)
 	case c.Pairing.Dedup < 0:
@@ -249,7 +259,7 @@ func (c *Config) Validate() error {
 		return badField("record.keep_bytes", "%d must be >= 0", c.Record.KeepBytes)
 	case c.Record.KeepAgeSeconds < 0:
 		return badField("record.keep_age_seconds", "%g must be >= 0", c.Record.KeepAgeSeconds)
-	case c.Record.Path == "" && c.Record.storeMode():
+	case c.Record.Path == "" && c.Record.tuned():
 		return badField("record.path", "required when any rotation/retention field is set")
 	}
 	for key, u := range c.Units {
@@ -308,9 +318,8 @@ func parseUnitKey(key string) (uint8, error) {
 	return uint8(n), nil
 }
 
-// storeMode reports whether the record block asks for the durable
-// segment-chain store rather than a single capture file.
-func (r Record) storeMode() bool {
+// tuned reports whether any rotation/retention field is set.
+func (r Record) tuned() bool {
 	return r.SegmentBytes != 0 || r.SegmentSpanSeconds != 0 ||
 		r.Keep != 0 || r.KeepBytes != 0 || r.KeepAgeSeconds != 0
 }

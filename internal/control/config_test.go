@@ -67,8 +67,6 @@ func TestValidateFieldPaths(t *testing.T) {
 		{"sample_seconds", func(c *Config) { c.SampleSeconds = -1 }},
 		{"onset_hour", func(c *Config) { c.OnsetHour = -1 }},
 		{"components", func(c *Config) { c.Components = -1 }},
-		{"listeners", func(c *Config) { c.Listeners = Listeners{} }},
-		{"ops.addr", func(c *Config) { c.Ops.Addr = "" }},
 		{"pairing.window", func(c *Config) { c.Pairing.Window = -1 }},
 		{"pairing.dedup", func(c *Config) { c.Pairing.Dedup = -1 }},
 		{"fleet.workers", func(c *Config) { c.Fleet.Workers = -1 }},
@@ -95,6 +93,27 @@ func TestValidateFieldPaths(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.path) {
 			t.Errorf("%s: error %q does not name the field path", tc.path, err)
 		}
+	}
+}
+
+// TestParseRequiresListenersAndOps: a config file must give frames a way
+// in and the control API an address, named by field path; Validate alone
+// accepts a config without either (frames then come through Ingest or
+// Push, and no ops server starts).
+func TestParseRequiresListenersAndOps(t *testing.T) {
+	for path, doc := range map[string]string{
+		"listeners": `{"calibration": "c.csv", "ops": {"addr": "127.0.0.1:0"}}`,
+		"ops.addr":  `{"calibration": "c.csv", "listeners": {"tcp": "127.0.0.1:0"}}`,
+	} {
+		_, err := Parse(strings.NewReader(doc))
+		if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: Parse = %v, want a field-path ErrBadConfig", path, err)
+		}
+	}
+	cfg := validConfig()
+	cfg.Listeners, cfg.Ops = Listeners{}, Ops{}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate rejected an in-process config: %v", err)
 	}
 }
 

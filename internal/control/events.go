@@ -1,6 +1,7 @@
 package control
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -73,12 +74,13 @@ func (b *bus) unsubscribe(s *subscriber) {
 
 // publish renders the event as one SSE frame and offers it to every
 // subscriber, dropping (and counting) on full buffers.
-func (b *bus) publish(ev Event, marshal func(any) ([]byte, error)) {
-	// Render before taking the lock: marshal is caller-supplied, and calling
-	// out while holding b.mu invites the lock-inversion class pcslint's
-	// callback-under-lock analyzer exists for. The cost is one wasted
-	// marshal when there are no subscribers — events are rare.
-	data, err := marshal(ev)
+func (b *bus) publish(ev Event) {
+	// Render before taking the lock: marshalling can call arbitrary
+	// MarshalJSON methods of the payload, and calling out while holding b.mu
+	// invites the lock-inversion class pcslint's callback-under-lock
+	// analyzer exists for. The cost is one wasted marshal when there are no
+	// subscribers — events are rare.
+	data, err := json.Marshal(ev)
 	if err != nil {
 		return
 	}

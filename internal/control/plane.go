@@ -24,7 +24,8 @@ var ErrDraining = errors.New("control: plane is draining")
 
 // Options tunes New beyond the config file.
 type Options struct {
-	// Out receives the plane's log lines (nil = discard).
+	// Out receives the plane's log lines (nil = discard). The plane writes
+	// it from several goroutines, so it must be safe for concurrent use.
 	Out io.Writer
 	// System is a pre-calibrated monitoring system; nil calibrates from
 	// Config.Calibration (the serve path). Tests share one calibration
@@ -32,26 +33,36 @@ type Options struct {
 	System *core.System
 	// ConfigPath, when set, is re-read on Reload(nil) — the SIGHUP path.
 	ConfigPath string
-	// Clock supplies the plane's notion of now (liveness stamps, flush
-	// cadence, health snapshots); nil means the wall clock. Injected so
-	// capture replay and tests can drive the timeline.
+	// Clock supplies the plane's notion of now (liveness stamps, pairing
+	// arrival stamps, flush cadence, health snapshots); nil means the wall
+	// clock. With an injected clock the plane runs no tick loop of its own:
+	// the caller drives the pairing age horizon through Tick, so capture
+	// replay stays deterministic at any speed-up.
 	Clock func() time.Time
+	// OnEvent, when non-nil, observes every event the plane publishes to
+	// /events subscribers, on the publishing goroutine; it must not block.
+	// The fleet and replay commands print their per-observation chart
+	// lines from it.
+	OnEvent func(Event)
 }
 
 // UnitReport is one unit's final classified report, kept after detach or
 // drain and served from GET /units/{id}.
 type UnitReport struct {
-	Unit        string    `json:"unit"`
-	Verdict     string    `json:"verdict"`
-	AttackedVar int       `json:"attacked_var"`
-	Explanation string    `json:"explanation"`
-	DetachedAt  time.Time `json:"detached_at"`
+	Unit        string `json:"unit"`
+	Verdict     string `json:"verdict"`
+	AttackedVar int    `json:"attacked_var"`
+	Explanation string `json:"explanation"`
+	// Samples is the number of observations the unit's stream scored.
+	Samples    int       `json:"samples"`
+	DetachedAt time.Time `json:"detached_at"`
 }
 
 // Plane is a running control plane: ingest listeners, the pairing →
 // fleet scoring pipeline, the optional capture store, and the ops/control
-// HTTP server. Create with New, stop with Drain (or Close, which also
-// abandons the ops listener).
+// HTTP server. Create with New, feed it through its listeners, Ingest or
+// Push, and stop it with Drain (or Close, which also stops the ops
+// listener).
 type Plane struct {
 	opts  Options
 	out   io.Writer
@@ -63,13 +74,19 @@ type Plane struct {
 	obs *pcsmon.Observability
 	fl  *pcsmon.Fleet
 	pi  *pcsmon.PairingIngest
-	ops *opsserver.Server
+	ops *opsserver.Server // nil without ops.addr
 
 	tcp *fieldbus.Server
 	udp *fieldbus.UDPServer
 
-	recMu sync.Mutex
-	rec   *fieldbus.CaptureStore
+	recMu      sync.Mutex
+	rec        *fieldbus.CaptureStore
+	flushEvery time.Duration
+	lastFlush  time.Time // guarded by recMu
+
+	// readings are the counters exported both on /metrics and in the
+	// /status totals; set once by New.
+	readings []reading
 
 	bus *bus
 
@@ -77,10 +94,19 @@ type Plane struct {
 	// pairing attach hook (-1 = inherit the global onset).
 	unitOnsets [256]atomic.Int64
 
-	lastSeen atomic.Int64 // UnixNano of the last accepted frame
-	accepted atomic.Uint64
-	rejected atomic.Uint64 // frames refused because a drain began
-	reloads  atomic.Uint64
+	pushMu sync.Mutex
+	pushed map[string]bool // plants attached by Push
+
+	lastSeen   atomic.Int64 // UnixNano of the last accepted frame
+	accepted   atomic.Uint64
+	rejected   atomic.Uint64 // frames refused because a drain began
+	reloads    atomic.Uint64
+	ingestErrs atomic.Uint64 // frames or pairing ticks the ingest failed on
+	recordErrs atomic.Uint64 // frames or flushes the capture store failed on
+
+	// up is set once New has wired every part; the ops server starts
+	// before that, and a scrape racing startup must see an empty plane.
+	up atomic.Bool
 
 	draining  atomic.Bool
 	drainOnce sync.Once
@@ -93,9 +119,10 @@ type Plane struct {
 	reports map[string]UnitReport
 }
 
-// New builds and starts a plane: calibrates (unless Options.System is
-// given), binds the ops listener and the ingest listeners, and starts
-// scoring. On error nothing is left running.
+// New builds and starts a plane: binds the ops listener (when ops.addr is
+// set), calibrates (unless Options.System is given), opens the capture
+// store and the ingest listeners, and starts scoring. On error nothing is
+// left running.
 func New(cfg *Config, opts Options) (*Plane, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -106,6 +133,7 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		cfg:      cfg,
 		obs:      pcsmon.NewObservability(),
 		bus:      newBus(),
+		pushed:   map[string]bool{},
 		drained:  make(chan struct{}),
 		pumpDone: make(chan struct{}),
 		reports:  map[string]UnitReport{},
@@ -121,26 +149,30 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 	p.lastSeen.Store(p.clock().UnixNano())
 
 	// The ops listener binds first so an unusable address fails before the
-	// (expensive) calibration, like the flag path did.
-	ops, err := opsserver.Start(cfg.Ops.Addr, opsserver.Options{
-		Metrics:      p.obs.Metrics,
-		Health:       p.obs.Health,
-		Totals:       p.totals,
-		LastActivity: func() time.Time { return time.Unix(0, p.lastSeen.Load()) },
-		StallAfter:   cfg.StallHorizon(),
-		AuthToken:    cfg.Ops.AuthToken,
-		Extra: map[string]http.Handler{
-			"/units/": http.HandlerFunc(p.handleUnits),
-			"/config": http.HandlerFunc(p.handleConfig),
-			"/reload": http.HandlerFunc(p.handleReload),
-			"/drain":  http.HandlerFunc(p.handleDrain),
-			"/events": http.HandlerFunc(p.handleEvents),
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("control: ops listener %s: %v: %w", cfg.Ops.Addr, err, ErrBadConfig)
+	// (expensive) calibration. Without an address no server runs; the plane
+	// is then read in process (Reports, Totals).
+	if cfg.Ops.Addr != "" {
+		ops, err := opsserver.Start(cfg.Ops.Addr, opsserver.Options{
+			Metrics:      p.obs.Metrics,
+			Health:       p.obs.Health,
+			Totals:       p.Totals,
+			LastActivity: func() time.Time { return time.Unix(0, p.lastSeen.Load()) },
+			StallAfter:   cfg.StallHorizon(),
+			AuthToken:    cfg.Ops.AuthToken,
+			Extra: map[string]http.Handler{
+				"/units/": http.HandlerFunc(p.handleUnits),
+				"/config": http.HandlerFunc(p.handleConfig),
+				"/reload": http.HandlerFunc(p.handleReload),
+				"/drain":  http.HandlerFunc(p.handleDrain),
+				"/events": http.HandlerFunc(p.handleEvents),
+			},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("control: ops listener %s: %v: %w", cfg.Ops.Addr, err, ErrBadConfig)
+		}
+		p.ops = ops
+		fmt.Fprintf(p.out, "ops listening on %s (/metrics /healthz /status /debug/pprof/)\n", ops.URL())
 	}
-	p.ops = ops
 	fail := func(err error) (*Plane, error) {
 		p.teardownPartial()
 		return nil, err
@@ -148,6 +180,7 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 
 	sys := opts.System
 	if sys == nil {
+		var err error
 		sys, err = calibrate(cfg, p.out)
 		if err != nil {
 			return fail(err)
@@ -177,11 +210,9 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		StallAfter: cfg.Pairing.StallAfter,
 		Onset:      cfg.OnsetIndex(),
 		OnsetFor:   p.onsetFor,
+		OnAttach:   p.attached,
+		Clock:      opts.Clock,
 		Dedup:      cfg.Pairing.Dedup,
-		OnAttach: func(plant string) {
-			fmt.Fprintf(p.out, "unit %s attached\n", plant)
-			p.bus.publish(Event{Type: "attached", Unit: plant}, json.Marshal)
-		},
 	}, p.pairingEvent)
 	if err != nil {
 		return fail(err)
@@ -201,6 +232,8 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 			return fail(fmt.Errorf("control: record.path: %w", err))
 		}
 		p.rec = st
+		p.flushEvery = recordFlush(cfg)
+		p.lastFlush = p.clock()
 	}
 
 	if cfg.Listeners.TCP != "" {
@@ -217,9 +250,19 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		}
 		fmt.Fprintf(p.out, "listening on udp://%s\n", p.udp.Addr())
 	}
-	fmt.Fprintf(p.out, "control plane up: ops %s\n", p.ops.URL())
+	if err := p.registerReadings(); err != nil {
+		return fail(err)
+	}
+	if p.ops != nil {
+		fmt.Fprintf(p.out, "control plane up: ops %s\n", p.ops.URL())
+	} else {
+		fmt.Fprintf(p.out, "control plane up\n")
+	}
 
-	go p.tickLoop()
+	p.up.Store(true)
+	if opts.Clock == nil {
+		go p.tickLoop()
+	}
 	return p, nil
 }
 
@@ -239,7 +282,9 @@ func (p *Plane) teardownPartial() {
 		<-p.pumpDone
 	}
 	p.bus.close()
-	_ = p.ops.Close()
+	if p.ops != nil {
+		_ = p.ops.Close()
+	}
 }
 
 // calibrate builds the monitoring system from the configured NOC CSV.
@@ -287,6 +332,87 @@ func recordFlush(cfg *Config) time.Duration {
 	return time.Duration(cfg.Record.FlushSeconds * float64(time.Second))
 }
 
+// reading is one scrape-time counter the plane exports twice: as a
+// /metrics family and as a /status total.
+type reading struct {
+	total, metric, help string
+	counter             bool
+	read                func() float64
+}
+
+// registerReadings builds the failure, transport and capture readings
+// for the parts this plane runs and registers them on /metrics.
+func (p *Plane) registerReadings() error {
+	count := func(n *atomic.Uint64) func() float64 {
+		return func() float64 { return float64(n.Load()) }
+	}
+	rs := []reading{
+		{"control_ingest_errors", "pcsmon_control_ingest_errors_total",
+			"Frames and pairing ticks the ingest failed on.", true, count(&p.ingestErrs)},
+		{"control_record_errors", "pcsmon_control_record_errors_total",
+			"Frames and flushes the capture store failed to write.", true, count(&p.recordErrs)},
+	}
+	if p.tcp != nil {
+		rs = append(rs, reading{"transport_tcp_frames", "pcsmon_transport_tcp_frames_total",
+			"Valid frames received over the TCP listener.", true,
+			func() float64 { return float64(p.tcp.Frames()) }})
+	}
+	if p.udp != nil {
+		rs = append(rs,
+			reading{"transport_udp_datagrams", "pcsmon_transport_udp_datagrams_total",
+				"Datagrams received over the UDP listener.", true,
+				func() float64 { return float64(p.udp.Stats().Datagrams) }},
+			reading{"transport_udp_corrupt", "pcsmon_transport_udp_corrupt_total",
+				"Corrupt datagrams dropped by the UDP listener.", true,
+				func() float64 { return float64(p.udp.Stats().Corrupt) }})
+	}
+	if p.rec != nil {
+		// The store is not internally synchronized: read it under recMu.
+		store := func(f func(fieldbus.StoreStats) float64) func() float64 {
+			return func() float64 {
+				p.recMu.Lock()
+				st := p.rec.Stats()
+				p.recMu.Unlock()
+				return f(st)
+			}
+		}
+		rs = append(rs,
+			reading{"capture_frames", "pcsmon_capture_frames_total",
+				"Frames appended to the capture recording.", true,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Frames) })},
+			reading{"capture_span_seconds", "pcsmon_capture_span_seconds",
+				"Capture time covered by the recording.", false,
+				store(func(s fieldbus.StoreStats) float64 { return s.Span.Seconds() })},
+			reading{"capture_store_segments", "pcsmon_capture_store_segments",
+				"Segment files currently on disk (active included).", false,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Segments) })},
+			reading{"capture_store_bytes", "pcsmon_capture_store_bytes",
+				"Total size of the segment chain including sidecars.", false,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Bytes) })},
+			reading{"capture_store_rotations", "pcsmon_capture_store_rotations_total",
+				"Segments sealed by rotation.", true,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Rotations) })},
+			reading{"capture_store_pruned", "pcsmon_capture_store_pruned_total",
+				"Segments deleted by retention.", true,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Pruned) })},
+			reading{"capture_store_flushes", "pcsmon_capture_store_flushes_total",
+				"Cadence/explicit flushes of the active segment.", true,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Flushes) })})
+	}
+	reg := p.obs.Metrics
+	for _, r := range rs {
+		register := reg.GaugeFunc
+		if r.counter {
+			register = reg.CounterFunc
+		}
+		if err := register(r.metric, r.help, r.read); err != nil {
+			return err
+		}
+	}
+	p.readings = rs
+	return nil
+}
+
 // setUnitOnsets loads the per-unit onset table from a (new) config.
 func (p *Plane) setUnitOnsets(cfg *Config) {
 	onsets := cfg.UnitOnsets()
@@ -300,9 +426,26 @@ func (p *Plane) onsetFor(unit uint8) int {
 	return int(p.unitOnsets[unit].Load())
 }
 
+// attached announces a plant's first-sight attachment, by the pairing
+// ingest or by Push.
+func (p *Plane) attached(plant string) {
+	fmt.Fprintf(p.out, "plant %s attached\n", plant)
+	p.publish(Event{Type: "attached", Unit: plant})
+}
+
+// publish offers an event to the /events subscribers and the OnEvent
+// hook.
+func (p *Plane) publish(ev Event) {
+	p.bus.publish(ev)
+	if p.opts.OnEvent != nil {
+		p.opts.OnEvent(ev)
+	}
+}
+
 // Ingest offers one frame to the plane — the programmatic entry the
-// router's in-process sinks use; the TCP/UDP listeners funnel into the
-// same path. Frames are refused (ErrDraining) once a drain began.
+// router's in-process sinks and capture replay use; the TCP/UDP listeners
+// funnel into the same path. Frames are refused (ErrDraining) once a
+// drain began.
 func (p *Plane) Ingest(f *fieldbus.Frame) error {
 	if p.draining.Load() {
 		p.rejected.Add(1)
@@ -313,8 +456,10 @@ func (p *Plane) Ingest(f *fieldbus.Frame) error {
 }
 
 // ingest is the shared frame handler behind the listeners: record first
-// (the flight recorder sees everything, like the fleet subcommand), then
-// pair and score. Listener goroutines call it concurrently.
+// (the flight recorder sees everything), then pair and score. Listener
+// goroutines call it concurrently. Failures have no caller to return to:
+// they are logged and counted (control_record_errors,
+// control_ingest_errors).
 func (p *Plane) ingest(f *fieldbus.Frame) {
 	if p.draining.Load() {
 		p.rejected.Add(1)
@@ -325,11 +470,13 @@ func (p *Plane) ingest(f *fieldbus.Frame) {
 		err := p.rec.Record(f)
 		p.recMu.Unlock()
 		if err != nil {
+			p.recordErrs.Add(1)
 			fmt.Fprintf(p.out, "record error: %v\n", err)
 		}
 	}
 	offered, err := p.pi.OfferFrame(f)
 	if err != nil {
+		p.ingestErrs.Add(1)
 		fmt.Fprintf(p.out, "ingest error: %v\n", err)
 		return
 	}
@@ -339,15 +486,46 @@ func (p *Plane) ingest(f *fieldbus.Frame) {
 	}
 }
 
+// Push scores one single-view observation of a named plant (the row
+// serves as both views), attaching the plant on first sight — the entry
+// for feeds keyed by arbitrary plant names, such as the fleet command's
+// CSV demux, rather than by fieldbus unit. The row is copied before
+// return.
+func (p *Plane) Push(plant string, row []float64) error {
+	if p.draining.Load() {
+		p.rejected.Add(1)
+		return ErrDraining
+	}
+	p.pushMu.Lock()
+	first := !p.pushed[plant]
+	if first {
+		if err := p.fl.Attach(plant, p.config().OnsetIndex()); err != nil {
+			p.pushMu.Unlock()
+			return err
+		}
+		p.pushed[plant] = true
+	}
+	p.pushMu.Unlock()
+	if first {
+		p.attached(plant)
+	}
+	if err := p.fl.Push(plant, row, row); err != nil {
+		return err
+	}
+	p.accepted.Add(1)
+	p.lastSeen.Store(p.clock().UnixNano())
+	return nil
+}
+
 // pairingEvent forwards typed pairing events to the SSE bus and the log.
 func (p *Plane) pairingEvent(ev pcsmon.FleetEvent) {
 	switch e := ev.Event.(type) {
 	case pcsmon.ViewStalled:
 		fmt.Fprintf(p.out, "VIEW STALL [%s] %s frames missing since obs %d — scoring hold-last-value (DoS-consistent)\n",
 			ev.Plant, e.View, e.Seq)
-		p.bus.publish(Event{Type: "view-stalled", Unit: ev.Plant, Data: e}, json.Marshal)
+		p.publish(Event{Type: "view-stalled", Unit: ev.Plant, Data: e})
 	case pcsmon.PairDropped:
-		p.bus.publish(Event{Type: "pair-dropped", Unit: ev.Plant, Data: e}, json.Marshal)
+		p.publish(Event{Type: "pair-dropped", Unit: ev.Plant, Data: e})
 	}
 }
 
@@ -358,14 +536,15 @@ func (p *Plane) pump() {
 	for ev := range p.fl.Events() {
 		switch e := ev.Event.(type) {
 		case pcsmon.SampleScored:
-			p.bus.publish(Event{Type: "scored", Unit: ev.Plant, Data: e}, json.Marshal)
+			p.publish(Event{Type: "scored", Unit: ev.Plant, Data: e})
 		case pcsmon.AlarmRaised:
 			fmt.Fprintf(p.out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
 				ev.Plant, e.View, e.Index, e.RunStart, e.Charts)
-			p.bus.publish(Event{Type: "alarm", Unit: ev.Plant, Data: e}, json.Marshal)
+			p.publish(Event{Type: "alarm", Unit: ev.Plant, Data: e})
 		case pcsmon.ModelSwapped:
-			fmt.Fprintf(p.out, "MODEL SWAP [%s] at obs %d -> generation %d\n", ev.Plant, e.Index, e.Generation)
-			p.bus.publish(Event{Type: "model-swapped", Unit: ev.Plant, Data: e}, json.Marshal)
+			fmt.Fprintf(p.out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
+				ev.Plant, e.Index, e.Generation, e.D99, e.Q99)
+			p.publish(Event{Type: "model-swapped", Unit: ev.Plant, Data: e})
 		case pcsmon.VerdictReady:
 			// A stream that never scored an observation finishes without a
 			// report; it still gets a terminal entry so GET /units answers.
@@ -374,6 +553,7 @@ func (p *Plane) pump() {
 				Verdict:     "error",
 				AttackedVar: -1,
 				Explanation: "stream finished without a classifiable report",
+				Samples:     e.Samples,
 				DetachedAt:  p.clock(),
 			}
 			if e.Report != nil {
@@ -385,18 +565,45 @@ func (p *Plane) pump() {
 			p.reports[ev.Plant] = rep
 			p.repMu.Unlock()
 			fmt.Fprintf(p.out, "unit %s: %s after %d observations\n", ev.Plant, rep.Verdict, e.Samples)
-			p.bus.publish(Event{Type: "verdict", Unit: ev.Plant, Data: rep}, json.Marshal)
+			p.publish(Event{Type: "verdict", Unit: ev.Plant, Data: rep})
 		}
 	}
 }
 
-// tickLoop drives the pairing age horizon and the capture store's
-// crash-durability flush until drain.
+// Tick applies the pairing age horizon at the plane's current time and
+// flushes the capture store's buffered tail when its crash-durability
+// cadence is due. A plane that owns its clock ticks itself every 50ms; a
+// caller that injected Options.Clock calls Tick after advancing it.
+// Failures are counted like ingest failures and returned.
+func (p *Plane) Tick() error {
+	now := p.clock()
+	err := p.pi.Tick(now)
+	if err != nil && !p.draining.Load() {
+		p.ingestErrs.Add(1)
+	}
+	if p.rec == nil || p.flushEvery <= 0 {
+		return err
+	}
+	var ferr error
+	p.recMu.Lock()
+	if now.Sub(p.lastFlush) >= p.flushEvery {
+		ferr = p.rec.Flush()
+		p.lastFlush = now
+	}
+	p.recMu.Unlock()
+	if ferr != nil {
+		p.recordErrs.Add(1)
+		if err == nil {
+			err = ferr
+		}
+	}
+	return err
+}
+
+// tickLoop drives Tick on the wall clock until drain.
 func (p *Plane) tickLoop() {
-	flushEvery := recordFlush(p.config())
 	ticker := time.NewTicker(50 * time.Millisecond)
 	defer ticker.Stop()
-	lastFlush := p.clock()
 	for {
 		select {
 		case <-p.drained:
@@ -405,17 +612,8 @@ func (p *Plane) tickLoop() {
 			if p.draining.Load() {
 				return
 			}
-			if err := p.pi.Tick(p.clock()); err != nil && !p.draining.Load() {
-				fmt.Fprintf(p.out, "pairing tick error: %v\n", err)
-			}
-			if p.rec != nil && flushEvery > 0 && p.clock().Sub(lastFlush) >= flushEvery {
-				p.recMu.Lock()
-				ferr := p.rec.Flush()
-				p.recMu.Unlock()
-				lastFlush = p.clock()
-				if ferr != nil {
-					fmt.Fprintf(p.out, "record flush error: %v\n", ferr)
-				}
+			if err := p.Tick(); err != nil && !p.draining.Load() {
+				fmt.Fprintf(p.out, "tick error: %v\n", err)
 			}
 		}
 	}
@@ -432,7 +630,7 @@ func (p *Plane) Drain() error {
 	p.drainOnce.Do(func() {
 		p.draining.Store(true)
 		fmt.Fprintf(p.out, "drain: refusing new frames\n")
-		p.bus.publish(Event{Type: "drain"}, json.Marshal)
+		p.publish(Event{Type: "drain"})
 		// Stop the listeners so no receive goroutine races the flush.
 		if p.tcp != nil {
 			_ = p.tcp.Close()
@@ -482,8 +680,10 @@ func (p *Plane) Drain() error {
 // Close drains (if not already drained) and stops the ops listener.
 func (p *Plane) Close() error {
 	err := p.Drain()
-	if cerr := p.ops.Close(); cerr != nil && err == nil {
-		err = cerr
+	if p.ops != nil {
+		if cerr := p.ops.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
@@ -494,8 +694,13 @@ func (p *Plane) Drained() <-chan struct{} { return p.drained }
 // Draining reports whether a drain has begun.
 func (p *Plane) Draining() bool { return p.draining.Load() }
 
-// OpsURL returns the control API's base URL.
-func (p *Plane) OpsURL() string { return p.ops.URL() }
+// OpsURL returns the control API's base URL ("" without ops.addr).
+func (p *Plane) OpsURL() string {
+	if p.ops == nil {
+		return ""
+	}
+	return p.ops.URL()
+}
 
 // Accepted returns the number of observation frames accepted pre-drain.
 func (p *Plane) Accepted() uint64 { return p.accepted.Load() }
@@ -542,19 +747,21 @@ func (p *Plane) Reload(next *Config) error {
 	}
 	p.cfg = next
 	p.setUnitOnsets(next)
-	p.ops.SetStallAfter(next.StallHorizon())
+	if p.ops != nil {
+		p.ops.SetStallAfter(next.StallHorizon())
+	}
 	n := p.reloads.Add(1)
 	fmt.Fprintf(p.out, "reload %d applied (healthz stall %v, %d unit overrides)\n",
 		n, next.StallHorizon(), len(next.Units))
 	return nil
 }
 
-// totals builds the /status aggregate map (fleet + pairing + control
-// counters), mirroring the fleet subcommand's document so `mspctool
-// status` renders either.
-func (p *Plane) totals() map[string]float64 {
+// Totals builds the /status aggregate map: fleet, pairing, transport,
+// capture and control counters. The fleet and replay commands print their
+// exit summaries from it, so a final scrape and the summary agree.
+func (p *Plane) Totals() map[string]float64 {
 	m := map[string]float64{}
-	if p.fl == nil {
+	if !p.up.Load() {
 		return m
 	}
 	st := p.fl.Stats()
@@ -566,17 +773,23 @@ func (p *Plane) totals() map[string]float64 {
 	m["fleet_model_swaps"] = float64(st.ModelSwaps)
 	m["fleet_model_generation"] = float64(st.ModelGeneration)
 	m["fleet_obs_per_sec"] = st.ObsPerSec
-	if p.pi != nil {
-		ps := p.pi.Stats()
-		m["pairing_frames"] = float64(ps.Frames)
-		m["pairing_paired"] = float64(ps.Paired)
-		m["pairing_orphans"] = float64(ps.OrphanSensors + ps.OrphanActuators)
-		m["pairing_gap_seqs"] = float64(ps.GapSeqs)
-		m["pairing_duplicates"] = float64(ps.Duplicates)
-		m["pairing_stale"] = float64(ps.Stale)
-		m["pairing_loss_ratio"] = ps.LossRate()
-		m["pairing_deduped"] = float64(p.pi.Deduped())
-		m["pairing_quiesced_drops"] = float64(p.pi.QuiescedDrops())
+	ps := p.pi.Stats()
+	m["pairing_frames"] = float64(ps.Frames)
+	m["pairing_observations"] = float64(p.pi.StepCount())
+	m["pairing_paired"] = float64(ps.Paired)
+	m["pairing_orphans"] = float64(ps.OrphanSensors + ps.OrphanActuators)
+	m["pairing_orphan_sensors"] = float64(ps.OrphanSensors)
+	m["pairing_orphan_actuators"] = float64(ps.OrphanActuators)
+	m["pairing_gap_seqs"] = float64(ps.GapSeqs)
+	m["pairing_duplicates"] = float64(ps.Duplicates)
+	m["pairing_stale"] = float64(ps.Stale)
+	m["pairing_outliers"] = float64(ps.Outliers)
+	m["pairing_stalls"] = float64(ps.Stalls)
+	m["pairing_loss_ratio"] = ps.LossRate()
+	m["pairing_deduped"] = float64(p.pi.Deduped())
+	m["pairing_quiesced_drops"] = float64(p.pi.QuiescedDrops())
+	for _, r := range p.readings {
+		m[r.total] = r.read()
 	}
 	m["control_frames_accepted"] = float64(p.accepted.Load())
 	m["control_frames_rejected"] = float64(p.rejected.Load())
@@ -650,7 +863,7 @@ func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
 		if rep.AttackedVar >= 0 {
 			doc["attacked_var"] = rep.AttackedVar
 		}
-		p.bus.publish(Event{Type: action + "ed", Unit: id}, json.Marshal)
+		p.publish(Event{Type: action + "ed", Unit: id})
 		writeJSON(w, http.StatusOK, doc)
 	default:
 		apiError(w, http.StatusMethodNotAllowed, "%s %s not supported", r.Method, r.URL.Path)

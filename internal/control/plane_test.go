@@ -11,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -153,7 +155,7 @@ func TestPlaneLifecycleHTTP(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(cfg.Record.Path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	p, err := New(cfg, Options{Out: &logBuf})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -382,7 +384,7 @@ func TestPlaneLifecycleHTTP(t *testing.T) {
 	if fullDrain.Accepted != wantAccepted {
 		t.Errorf("accepted = %d, want %d", fullDrain.Accepted, wantAccepted)
 	}
-	totals := p.totals()
+	totals := p.Totals()
 	wantObs := float64(rows + rows + extraRows)
 	if got := totals["fleet_observations"]; got != wantObs {
 		t.Errorf("fleet_observations = %g, want %g (frame loss across drain)", got, wantObs)
@@ -438,7 +440,7 @@ func TestPlaneLifecycleHTTP(t *testing.T) {
 // the wire path — instead of the in-process entry.
 func TestPlaneTCPIngest(t *testing.T) {
 	cfg := testPlaneConfig(t, t.TempDir())
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	p, err := New(cfg, Options{Out: &logBuf})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -634,5 +636,210 @@ func BenchmarkPlaneIngestHotPath(b *testing.B) {
 		_ = p.pi.OfferSensor(5, seq, sens)
 		_ = p.pi.OfferActuator(5, seq, sens)
 		seq++
+	}
+}
+
+// lockedBuffer is a log sink safe for the plane's concurrent writers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// scrapeMetrics fetches /metrics and returns each unlabeled series' value.
+func scrapeMetrics(t *testing.T, opsURL string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(opsURL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 2 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(fields[1], 64); err == nil {
+			values[fields[0]] = v
+		}
+	}
+	return values
+}
+
+// TestPlaneExportsTransportAndCaptureMetrics: a plane with a TCP listener
+// and a recording exports the transport and capture-store families and
+// the ingest/record failure counters on /metrics — the exposition serve
+// ships, not only the fleet command's.
+func TestPlaneExportsTransportAndCaptureMetrics(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testPlaneConfig(t, dir)
+	cfg.Record = Record{Path: filepath.Join(dir, "plant"), FlushSeconds: -1}
+	var logBuf lockedBuffer
+	p, err := New(cfg, Options{Out: &logBuf})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = p.Close() }()
+
+	cli, err := fieldbus.Dial(p.tcp.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 20
+	for _, f := range syntheticFrames(2, 41, rows, -1) {
+		if err := cli.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Accepted() < 2*rows {
+		if time.Now().After(deadline) {
+			t.Fatalf("accepted %d of %d frames\n%s", p.Accepted(), 2*rows, logBuf.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	values := scrapeMetrics(t, p.OpsURL())
+	for series, want := range map[string]float64{
+		"pcsmon_transport_tcp_frames_total":  2 * rows,
+		"pcsmon_capture_frames_total":        2 * rows,
+		"pcsmon_capture_store_segments":      1,
+		"pcsmon_control_ingest_errors_total": 0,
+		"pcsmon_control_record_errors_total": 0,
+	} {
+		if got, ok := values[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+	for _, series := range []string{
+		"pcsmon_capture_span_seconds",
+		"pcsmon_capture_store_bytes",
+		"pcsmon_capture_store_rotations_total",
+		"pcsmon_capture_store_pruned_total",
+		"pcsmon_capture_store_flushes_total",
+	} {
+		if _, ok := values[series]; !ok {
+			t.Errorf("exposition missing %s", series)
+		}
+	}
+	if _, ok := values["pcsmon_transport_udp_datagrams_total"]; ok {
+		t.Errorf("UDP family exported without a UDP listener")
+	}
+}
+
+// TestPlaneCountsRecordErrors: a capture store that fails mid-run (its
+// directory vanished, so rotation cannot open the next segment) does not
+// stop scoring, but every failed write is counted.
+func TestPlaneCountsRecordErrors(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testPlaneConfig(t, dir)
+	cfg.Listeners, cfg.Ops = Listeners{}, Ops{} // fed in process only
+	recDir := filepath.Join(dir, "rec")
+	if err := os.MkdirAll(recDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// ~450 B per record: a 1 KiB budget rotates every other frame.
+	cfg.Record = Record{Path: filepath.Join(recDir, "plant"), SegmentBytes: 1 << 10, FlushSeconds: -1}
+	p, err := New(cfg, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = p.Close() }()
+	if err := os.RemoveAll(recDir); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 10
+	for _, f := range syntheticFrames(0, 51, rows, -1) {
+		if err := p.Ingest(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = p.Drain() // sealing the vanished chain fails too; the counters tell
+	totals := p.Totals()
+	if totals["control_record_errors"] == 0 {
+		t.Errorf("record failures not counted: %v", totals)
+	}
+	if totals["control_ingest_errors"] != 0 {
+		t.Errorf("record failures counted as ingest errors: %v", totals)
+	}
+	if got := totals["fleet_observations"]; got != rows {
+		t.Errorf("fleet_observations = %v, want %d (recording must not block scoring)", got, rows)
+	}
+}
+
+// TestPlanePushAttachesLazily: rows keyed by arbitrary plant names attach
+// their plant on first sight, score as single-view observations and drain
+// into reports that carry the scored observation count — with no ops
+// server and no listener running.
+func TestPlanePushAttachesLazily(t *testing.T) {
+	cfg := testPlaneConfig(t, t.TempDir())
+	cfg.Listeners, cfg.Ops = Listeners{}, Ops{}
+	var logBuf lockedBuffer
+	p, err := New(cfg, Options{Out: &logBuf})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = p.Close() }()
+	if p.OpsURL() != "" {
+		t.Errorf("ops server running without ops.addr: %s", p.OpsURL())
+	}
+
+	const rows = 120
+	plants := []string{"boiler", "reactor"}
+	rng := rand.New(rand.NewSource(61))
+	w := calLoadings()
+	row := make([]float64, historian.NumVars)
+	for i := 0; i < rows; i++ {
+		for _, plant := range plants {
+			z := rng.NormFloat64()
+			for j := range row {
+				row[j] = 50 + z*w[j] + 0.3*rng.NormFloat64()
+			}
+			if err := p.Push(plant, row); err != nil {
+				t.Fatalf("Push %s: %v", plant, err)
+			}
+		}
+	}
+	if err := p.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	reports := p.Reports()
+	for _, plant := range plants {
+		rep, ok := reports[plant]
+		if !ok {
+			t.Errorf("no report for %s (have %v)", plant, reports)
+			continue
+		}
+		if rep.Samples != rows {
+			t.Errorf("%s: Samples = %d, want %d", plant, rep.Samples, rows)
+		}
+		if rep.Verdict != pcsmon.VerdictNormal.String() {
+			t.Errorf("%s: NOC stream verdict = %s (%s)", plant, rep.Verdict, rep.Explanation)
+		}
+		if n := strings.Count(logBuf.String(), "plant "+plant+" attached\n"); n != 1 {
+			t.Errorf("%s attached %d times, want once:\n%s", plant, n, logBuf.String())
+		}
+	}
+	if err := p.Push("boiler", row); !errors.Is(err, ErrDraining) {
+		t.Errorf("post-drain Push err = %v, want ErrDraining", err)
 	}
 }

@@ -34,8 +34,9 @@ import (
 // truncated tail (if any) surfaces as a typed warning, not ErrBadCapture.
 
 // ErrStoreExists is returned when opening a capture store over a base path
-// that already has segment files — a recorder never silently clobbers or
-// splices into an existing chain.
+// that already has segment files or is itself a capture file — a recorder
+// never silently clobbers, splices into or hides behind an existing
+// recording.
 var ErrStoreExists = errors.New("fieldbus: capture chain already exists")
 
 const (
@@ -213,16 +214,22 @@ type CaptureStore struct {
 }
 
 // OpenCaptureStore creates the chain's first segment and returns the
-// store. The base path is extended to `<base>.00001.pcscap`; a chain that
-// already exists at base is refused with ErrStoreExists (a flight recorder
-// must never splice a fresh timeline into an old chain — replay the old
-// chain or choose a new base).
+// store. The base path is extended to `<base>.00001.pcscap`; a chain or a
+// plain capture file that already exists at base is refused with
+// ErrStoreExists (a flight recorder must never splice a fresh timeline
+// into an old chain, nor write one that replaying base would not find —
+// replay the old recording or choose a new base).
 func OpenCaptureStore(base string, opts StoreOptions) (*CaptureStore, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	if base == "" {
 		return nil, fmt.Errorf("fieldbus: empty store base path: %w", ErrBadCapture)
+	}
+	// A plain file at base would shadow the new chain: OpenCaptureChain
+	// prefers it, so replaying base would return none of this recording.
+	if fi, err := os.Stat(base); err == nil && fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("fieldbus: %s is an existing file: %w", base, ErrStoreExists)
 	}
 	existing, err := findSegments(base)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {

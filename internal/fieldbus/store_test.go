@@ -259,6 +259,25 @@ func TestCaptureStoreRefusesExistingChain(t *testing.T) {
 	}
 }
 
+// TestCaptureStoreRefusesPlainFileAtBase: a regular file at the base path
+// would shadow the new chain on replay (OpenCaptureChain prefers the
+// file), so the store refuses it and leaves the file untouched.
+func TestCaptureStoreRefusesPlainFileAtBase(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "live.cap")
+	if err := os.WriteFile(base, []byte("prior capture bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCaptureStore(base, StoreOptions{}); !errors.Is(err, ErrStoreExists) {
+		t.Fatalf("store over a plain file: want ErrStoreExists, got %v", err)
+	}
+	if got, err := os.ReadFile(base); err != nil || string(got) != "prior capture bytes" {
+		t.Errorf("existing file changed: %q, %v", got, err)
+	}
+	if segs, err := findSegments(base); err != nil || len(segs) != 0 {
+		t.Errorf("refused store left segments behind: %v, %v", segs, err)
+	}
+}
+
 // TestCaptureStoreAbandon: the startup-failure path removes everything the
 // store created, including already-sealed segments.
 func TestCaptureStoreAbandon(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package opsserver is the monitor's shared operations HTTP server: one
 // listener serving the Prometheus scrape endpoint, a liveness probe with
 // stall detection, the per-unit health dump the `mspctool status`
-// subcommand renders, and the net/http/pprof profiling pages the old
-// -pprof flag used to serve on its own listener.
+// subcommand renders, and the net/http/pprof profiling pages.
 //
 // Endpoints:
 //
@@ -15,6 +14,7 @@
 package opsserver
 
 import (
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
@@ -137,8 +137,21 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the server's base URL.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Close stops the listener and in-flight handlers.
-func (s *Server) Close() error { return s.srv.Close() }
+// closeGrace bounds how long Close lets in-flight requests finish.
+const closeGrace = 2 * time.Second
+
+// Close stops the listener, lets in-flight requests finish writing their
+// responses for up to closeGrace — a POST /drain whose completion is what
+// made the owner close the server must still get its reply — and then
+// cuts any connection still busy.
+func (s *Server) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	if err := s.srv.Shutdown(ctx); err != nil {
+		return s.srv.Close()
+	}
+	return nil
+}
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

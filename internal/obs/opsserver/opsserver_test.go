@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("/status doc wrong: %+v", doc)
 	}
 
-	// pprof index must be served from the same listener (the folded -pprof).
+	// pprof index must be served from the same listener.
 	code, body = get(t, s.URL()+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ code=%d", code)
@@ -190,6 +191,68 @@ func TestExtraRoutesAndAuth(t *testing.T) {
 	}
 	if code := post("sesame"); code != http.StatusOK {
 		t.Errorf("POST with token: code=%d, want 200", code)
+	}
+}
+
+// TestCloseFinishesInFlightReply: a request whose handler is still
+// running when the owner closes the server (serve closes it the moment a
+// POST /drain completes the drain) still receives its full response.
+func TestCloseFinishesInFlightReply(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	s, err := Start("127.0.0.1:0", Options{
+		Metrics: obs.NewRegistry(),
+		Extra: map[string]http.Handler{
+			"/drain": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				close(started)
+				<-release
+				_, _ = w.Write([]byte("drained"))
+			}),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		code int
+		body string
+		err  error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(s.URL()+"/drain", "", nil)
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		got <- reply{resp.StatusCode, string(body), err}
+	}()
+	<-started
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	// Close has begun once the listener refuses new connections; only then
+	// may the handler finish.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			break
+		}
+		_ = c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting long after Close began")
+		}
+	}
+	close(release)
+	r := <-got
+	if r.err != nil || r.code != http.StatusOK || r.body != "drained" {
+		t.Errorf("in-flight reply cut by Close: code=%d body=%q err=%v", r.code, r.body, r.err)
+	}
+	if err := <-closed; err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if _, err := http.Get(s.URL() + "/healthz"); err == nil {
+		t.Error("server still accepting after Close")
 	}
 }
 
