@@ -10,11 +10,11 @@ import (
 )
 
 // TestRunFleetBatchedParityScenarios is the scenario-level half of the
-// batching contract: every §V scenario scored through the fleet — at
-// per-observation delivery, the default 16-observation batches, and small
-// batches racing an aggressive flush ticker — must be bit-identical to the
-// single-plant batch protocol (AnalyzeViews). Batching changes message
-// granularity, never results.
+// batching contract: every §V scenario scored through the fleet — one
+// observation per hand-off, small batches, the default 16 and batches
+// larger than a run — must be bit-identical to the single-plant batch
+// protocol (AnalyzeViews). Batching changes hand-off granularity, never
+// results.
 func TestRunFleetBatchedParityScenarios(t *testing.T) {
 	l := testLab(t)
 	scs := pcsmon.PaperScenarios(3)
@@ -29,32 +29,23 @@ func TestRunFleetBatchedParityScenarios(t *testing.T) {
 		golden[fmt.Sprintf("%s/00", sc.Key)] = res.Runs[0].Report
 	}
 
-	for _, cfg := range []struct {
-		name  string
-		batch int
-		flush time.Duration
-	}{
-		{"unbatched", 1, -1},
-		{"batch-16", 16, -1},
-		{"batch-5-ticker", 5, 100 * time.Microsecond},
-	} {
+	for _, batch := range []int{1, 2, 7, 16, 1024} {
 		res, err := l.RunFleet(scs, 1, pcsmon.FleetRunOptions{
 			Hours: hours,
 			FleetOptions: pcsmon.FleetOptions{
-				Workers: 2, EmitEvery: -1,
-				Batch: cfg.batch, FlushEvery: cfg.flush,
+				Workers: 2, EmitEvery: -1, Batch: batch,
 			},
 		}, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
+			t.Fatalf("batch=%d: %v", batch, err)
 		}
 		if len(res.Reports) != len(golden) {
-			t.Fatalf("%s: %d reports, want %d", cfg.name, len(res.Reports), len(golden))
+			t.Fatalf("batch=%d: %d reports, want %d", batch, len(res.Reports), len(golden))
 		}
 		for id, want := range golden {
 			if got := res.Reports[id]; !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: %s differs from batch-protocol golden:\nfleet: %+v\nbatch: %+v",
-					cfg.name, id, got, want)
+				t.Errorf("batch=%d: %s differs from batch-protocol golden:\nfleet: %+v\nbatch: %+v",
+					batch, id, got, want)
 			}
 		}
 	}
@@ -98,7 +89,7 @@ func TestRunFleetBatchedAdaptiveParity(t *testing.T) {
 }
 
 // TestPairingIngestBatchedParity: the two-view pairing ingest feeding
-// batched mailboxes — with the actuator view running behind the sensor
+// batched hand-offs — with the actuator view running behind the sensor
 // view — produces reports bit-identical to per-observation delivery.
 func TestPairingIngestBatchedParity(t *testing.T) {
 	sys := pairingTestSystem(t)

@@ -79,7 +79,7 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		pairWindow  = fs.Int("pair-window", 64, "live mode: reorder window for sensor/actuator frame pairing, in sequence numbers")
 		pairTimeout = fs.Duration("pair-timeout", 2*time.Second, "live mode: flush observations whose mate frame is this late (0 = never)")
 		dedup       = fs.Int("dedup", 0, "live mode: suppress content-identical frames seen within the last N frames (redundant collectors; 0 = off)")
-		batch       = fs.Int("batch", 0, "observations aggregated per worker delivery (0 = default 16, 1 = per-observation)")
+		batch       = fs.Int("batch", 0, "most observations one unit holds while its worker is busy (0 = default 16)")
 		metricsAddr = fs.String("metrics", "", "serve the ops endpoints and the control API (/metrics /healthz /status /units /events /debug/pprof/ ...) on this address while the fleet runs")
 		statsEvery  = fs.Duration("stats-every", 0, "print a live progress line with the fleet/pairing counters on this cadence (0 = off)")
 	)

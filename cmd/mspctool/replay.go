@@ -43,7 +43,7 @@ func runReplay(args []string, out io.Writer) error {
 		every       = fs.Int("every", -1, "print chart statistics every N observations per plant (-1 = alarms only)")
 		pairWindow  = fs.Int("pair-window", 64, "reorder window for sensor/actuator frame pairing, in sequence numbers")
 		pairTimeout = fs.Duration("pair-timeout", 2*time.Second, "flush observations whose mate frame is this late in capture time (0 = never)")
-		batch       = fs.Int("batch", 0, "observations aggregated per worker delivery (0 = default 16, 1 = per-observation)")
+		batch       = fs.Int("batch", 0, "most observations one unit holds while its worker is busy (0 = default 16)")
 		metricsAddr = fs.String("metrics", "", "serve the ops endpoints and the control API (/metrics /healthz /status /units /events /debug/pprof/ ...) on this address while the replay runs")
 		statsEvery  = fs.Duration("stats-every", 0, "print a live progress line with the fleet/pairing counters on this cadence (0 = off)")
 	)

@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"pcsmon"
@@ -48,9 +49,23 @@ func main() {
 	}
 }
 
+// syncWriter serializes the event goroutine's lines with run's own: both
+// write the same caller-supplied writer.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 // run records `samples` observations (the attack arms at `armAt`), kills
 // the recorder uncleanly, then replays the incident window from the chain.
 func run(w io.Writer, dir string, samples, armAt int) error {
+	w = &syncWriter{w: w}
 	const (
 		xmv3 = te.NumXMEAS + te.XmvAFeed // the forged observation column
 		step = 100 * time.Millisecond    // capture-time spacing of observations

@@ -99,8 +99,22 @@ func (ch *lossyChannel) transmit(f *fieldbus.Frame) error {
 	return ch.cli.Send(f)
 }
 
+// syncWriter serializes the event goroutine's lines with run's own: both
+// write the same caller-supplied writer.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 // run streams samples observations, arming the MitM at step armAt.
 func run(w io.Writer, samples, armAt int) error {
+	w = &syncWriter{w: w}
 	const xmv3 = te.NumXMEAS + te.XmvAFeed // XMV(3) observation column
 
 	// The same quick synthetic plant as the two-view-live demo: correlated

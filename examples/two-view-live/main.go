@@ -44,8 +44,22 @@ func main() {
 	}
 }
 
+// syncWriter serializes the event goroutine's lines with run's own: both
+// write the same caller-supplied writer.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 // run streams samples observations, arming the MitM at step armAt.
 func run(w io.Writer, samples, armAt int) error {
+	w = &syncWriter{w: w}
 	const xmv3 = te.NumXMEAS + te.XmvAFeed // XMV(3) observation column
 
 	// A quick synthetic plant stands in for the TE simulator so the demo

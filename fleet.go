@@ -32,22 +32,26 @@ type FleetEvent struct {
 }
 
 // FleetOptions tunes NewFleet. The zero value selects GOMAXPROCS workers,
-// a 64-observation mailbox per worker and a 256-event buffer.
+// a 64-message mailbox per worker, 16-observation batches and a 256-event
+// buffer.
 type FleetOptions struct {
 	// Workers is the number of scoring goroutines streams are sharded over
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Mailbox is the per-worker queue depth in messages (0 = 64); each
-	// message carries up to Batch observations.
+	// Mailbox is the per-worker queue depth in messages (0 = 64): one wake
+	// per stream with pending work, plus detach requests.
 	Mailbox int
-	// Batch is the number of observations aggregated per worker delivery
-	// (0 = 16, 1 = per-observation delivery). Batching amortizes channel
-	// and locking overhead across observations without changing a single
-	// result; partially filled batches are delivered on the FlushEvery
-	// cadence and on Detach/Close.
+	// Batch is the most observations one stream holds while its worker is
+	// busy (0 = 16). A worker takes a stream's whole pending batch as soon
+	// as it is free, so an idle fleet scores each observation at once and
+	// a loaded one amortizes the hand-off over fuller batches — without
+	// changing a single result.
 	Batch int
-	// FlushEvery is the cadence at which partially filled batches are
-	// delivered (0 = 2ms, negative = only on full batch or Detach/Close).
+	// FlushEvery must be zero: batches are delivered as soon as a worker
+	// is free, so there is no flush cadence to set. NewFleet rejects any
+	// other value with ErrBadConfig.
+	//
+	// Deprecated: kept only so existing callers still compile.
 	FlushEvery time.Duration
 	// EventBuffer is the event fan-in buffer depth (0 = 256). A full
 	// buffer back-pressures the scoring workers and, transitively, Push;
@@ -85,11 +89,14 @@ type Fleet struct {
 // caller must consume Events() until it closes (after Close); a stalled
 // consumer back-pressures producers rather than losing events.
 func NewFleet(sys *System, opts FleetOptions) (*Fleet, error) {
+	if opts.FlushEvery != 0 {
+		return nil, fmt.Errorf("pcsmon: FlushEvery %v: batches are delivered when a worker is free; must be 0: %w",
+			opts.FlushEvery, ErrBadConfig)
+	}
 	cfg := fleet.Config{
 		Workers:     opts.Workers,
 		Mailbox:     opts.Mailbox,
 		Batch:       opts.Batch,
-		FlushEvery:  opts.FlushEvery,
 		EventBuffer: opts.EventBuffer,
 		EmitEvery:   opts.EmitEvery,
 		Sample:      opts.Sample,

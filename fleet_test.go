@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,6 +133,18 @@ func TestFleetFacadeLifecycle(t *testing.T) {
 	last, ok := events[len(events)-1].Event.(pcsmon.VerdictReady)
 	if !ok || last.Samples != 50 {
 		t.Errorf("last event %+v, want VerdictReady with 50 samples", events[len(events)-1])
+	}
+}
+
+// TestNewFleetRejectsFlushEvery: batches are delivered as soon as a worker
+// is free, so any flush cadence is a configuration error naming the field.
+func TestNewFleetRejectsFlushEvery(t *testing.T) {
+	sys := pairingTestSystem(t)
+	for _, d := range []time.Duration{2 * time.Millisecond, -1} {
+		_, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{FlushEvery: d})
+		if !errors.Is(err, pcsmon.ErrBadConfig) || !strings.Contains(err.Error(), "FlushEvery") {
+			t.Errorf("FlushEvery=%v: NewFleet = %v, want ErrBadConfig naming FlushEvery", d, err)
+		}
 	}
 }
 

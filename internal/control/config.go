@@ -109,10 +109,13 @@ type FleetCfg struct {
 	Workers int `json:"workers,omitempty"`
 	// Mailbox is the per-worker queue depth in messages (0 = 64).
 	Mailbox int `json:"mailbox,omitempty"`
-	// Batch is the observations aggregated per delivery (0 = 16).
+	// Batch is the most observations one unit holds while its worker is
+	// busy (0 = 16).
 	Batch int `json:"batch,omitempty"`
-	// FlushEveryMS is the partial-batch delivery cadence in milliseconds
-	// (0 = 2ms, negative = only on full batch or detach).
+	// FlushEveryMS must be zero or absent: batches are delivered as soon
+	// as a worker is free. Validate rejects any other value.
+	//
+	// Deprecated: kept only so existing callers still compile.
 	FlushEveryMS float64 `json:"flush_every_ms,omitempty"`
 	// EventBuffer is the event fan-in depth (0 = 256).
 	EventBuffer int `json:"event_buffer,omitempty"`
@@ -239,6 +242,8 @@ func (c *Config) Validate() error {
 		return badField("fleet.mailbox", "%d must be >= 0", c.Fleet.Mailbox)
 	case c.Fleet.Batch < 0:
 		return badField("fleet.batch", "%d must be >= 0", c.Fleet.Batch)
+	case c.Fleet.FlushEveryMS != 0:
+		return badField("fleet.flush_every_ms", "%v must be 0 (batches are delivered when a worker is free)", c.Fleet.FlushEveryMS)
 	case c.Fleet.EventBuffer < 0:
 		return badField("fleet.event_buffer", "%d must be >= 0", c.Fleet.EventBuffer)
 	case c.Fleet.EmitEvery < 0:

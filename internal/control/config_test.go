@@ -71,6 +71,8 @@ func TestValidateFieldPaths(t *testing.T) {
 		{"pairing.dedup", func(c *Config) { c.Pairing.Dedup = -1 }},
 		{"fleet.workers", func(c *Config) { c.Fleet.Workers = -1 }},
 		{"fleet.emit_every", func(c *Config) { c.Fleet.EmitEvery = -1 }},
+		{"fleet.flush_every_ms", func(c *Config) { c.Fleet.FlushEveryMS = 2 }},
+		{"fleet.flush_every_ms", func(c *Config) { c.Fleet.FlushEveryMS = -1 }},
 		{"adapt.forget", func(c *Config) { c.Adapt.Forget = 0.5 }}, // without adapt.every
 		{"record.path", func(c *Config) { c.Record.Keep = 3 }},     // retention without a path
 		{"units.boiler", func(c *Config) { c.Units = map[string]UnitCfg{"boiler": {}} }},

@@ -191,7 +191,6 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		Workers:     cfg.Fleet.Workers,
 		Mailbox:     cfg.Fleet.Mailbox,
 		Batch:       cfg.Fleet.Batch,
-		FlushEvery:  time.Duration(cfg.Fleet.FlushEveryMS * float64(time.Millisecond)),
 		EventBuffer: cfg.Fleet.EventBuffer,
 		EmitEvery:   emitEvery(cfg),
 		Sample:      cfg.Sample(),
@@ -639,10 +638,10 @@ func (p *Plane) Drain() error {
 			_ = p.udp.Close()
 		}
 		// Everything accepted before the flag flipped is still in the
-		// correlator's reorder windows and the workers' mailboxes: flush the
-		// correlator (forcing out held observations), then detach every unit
-		// — Detach blocks until the stream's queue is scored and its verdict
-		// emitted, which is the losslessness contract.
+		// correlator's reorder windows and the streams' pending batches:
+		// flush the correlator (forcing out held observations), then detach
+		// every unit — Detach blocks until the stream's queue is scored and
+		// its verdict emitted, which is the losslessness contract.
 		var err error
 		if ferr := p.pi.Flush(); ferr != nil {
 			err = ferr
@@ -817,8 +816,21 @@ func writeJSON(w http.ResponseWriter, code int, doc any) {
 	_ = enc.Encode(doc)
 }
 
+// notUp answers 503 while New is still wiring the plane: the ops listener
+// serves during calibration, before the ingest and fleet exist.
+func (p *Plane) notUp(w http.ResponseWriter) bool {
+	if p.up.Load() {
+		return false
+	}
+	apiError(w, http.StatusServiceUnavailable, "control plane is starting")
+	return true
+}
+
 // handleUnits routes GET /units/{id} and POST /units/{id}/{attach|detach|drain}.
 func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
+	if p.notUp(w) {
+		return
+	}
 	rest := strings.TrimPrefix(r.URL.Path, "/units/")
 	idPart, action, _ := strings.Cut(rest, "/")
 	unit, err := parseUnitKey(idPart)
@@ -940,6 +952,9 @@ func (p *Plane) handleReload(w http.ResponseWriter, r *http.Request) {
 func (p *Plane) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "%s /drain not supported", r.Method)
+		return
+	}
+	if p.notUp(w) {
 		return
 	}
 	if err := p.Drain(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -544,7 +545,6 @@ func TestPlaneScoringHotPathZeroAlloc(t *testing.T) {
 	const batch = 8
 	cfg.Fleet.Workers = 1
 	cfg.Fleet.Batch = batch
-	cfg.Fleet.FlushEveryMS = -1 // deliver on full batches only
 	p, err := New(cfg, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -841,5 +841,34 @@ func TestPlanePushAttachesLazily(t *testing.T) {
 	}
 	if err := p.Push("boiler", row); !errors.Is(err, ErrDraining) {
 		t.Errorf("post-drain Push err = %v, want ErrDraining", err)
+	}
+}
+
+// TestPlaneAPIBeforeUp: the ops listener serves while New is still
+// calibrating, before the pairing ingest and fleet exist. The unit and
+// drain handlers must answer 503 in that window, not dereference the
+// missing pipeline.
+func TestPlaneAPIBeforeUp(t *testing.T) {
+	p := &Plane{}
+	for _, tc := range []struct {
+		path    string
+		handler http.HandlerFunc
+	}{
+		{"/units/7", p.handleUnits},
+		{"/units/7/attach", p.handleUnits},
+		{"/units/7/detach", p.handleUnits},
+		{"/units/7/drain", p.handleUnits},
+		{"/drain", p.handleDrain},
+	} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if tc.path == "/drain" && method == http.MethodGet {
+				continue // method check precedes the gate: 405 either way
+			}
+			rec := httptest.NewRecorder()
+			tc.handler(rec, httptest.NewRequest(method, tc.path, nil))
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Errorf("%s %s before up: HTTP %d, want 503 (%s)", method, tc.path, rec.Code, rec.Body)
+			}
+		}
 	}
 }

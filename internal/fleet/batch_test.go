@@ -3,16 +3,19 @@ package fleet
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pcsmon/internal/obs"
 )
 
-// TestBatchedParityAcrossBatchSizes: every Batch setting — per-observation
-// delivery, small batches that interleave with the flush ticker, batches
-// larger than the stream — must produce bit-identical reports. Batching
-// changes message granularity, never results.
+// TestBatchedParityAcrossBatchSizes: every Batch setting — one observation
+// per hand-off, small batches the worker takes while producers keep
+// pushing, batches larger than the stream — must produce bit-identical
+// reports. Batching changes hand-off granularity, never results.
 func TestBatchedParityAcrossBatchSizes(t *testing.T) {
 	sys := testSystem(t)
 	const (
@@ -31,11 +34,10 @@ func TestBatchedParityAcrossBatchSizes(t *testing.T) {
 	cases[1].ctrl, cases[1].proc = plantRows(32, rows, 2, onset, 20)
 	cases[2].ctrl, cases[2].proc = plantRows(33, rows, 9, onset, 25)
 
-	run := func(batch int, flush time.Duration) map[string]interface{} {
+	run := func(batch int) map[string]interface{} {
 		t.Helper()
 		p, err := NewPool(sys, Config{
-			Workers: 2, Mailbox: 4, Batch: batch, FlushEvery: flush,
-			EmitEvery: -1, Sample: sample,
+			Workers: 2, Mailbox: 4, Batch: batch, EmitEvery: -1, Sample: sample,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,39 +70,34 @@ func TestBatchedParityAcrossBatchSizes(t *testing.T) {
 		return out
 	}
 
-	golden := run(1, -1) // unbatched
-	for _, cfg := range []struct {
-		batch int
-		flush time.Duration
-	}{
-		{2, -1},
-		{16, -1},
-		{7, 200 * time.Microsecond}, // aggressive ticker: partial flushes mid-stream
-		{1024, -1},                  // larger than the stream: only Detach flushes
-	} {
-		got := run(cfg.batch, cfg.flush)
+	golden := run(1)
+	for _, batch := range []int{2, 7, 16, 1024} {
+		got := run(batch)
 		for id := range golden {
 			if !reflect.DeepEqual(got[id], golden[id]) {
-				t.Errorf("batch=%d flush=%v: %s report differs from unbatched golden",
-					cfg.batch, cfg.flush, id)
+				t.Errorf("batch=%d: %s report differs from batch=1 golden", batch, id)
 			}
 		}
 	}
 }
 
-// TestBatchFlushTickDelivers: with a batch far larger than the pushed
-// observation count, the flush ticker alone must get the observations
-// scored — consumers see Scored events without any Detach.
-func TestBatchFlushTickDelivers(t *testing.T) {
+// TestLoneObservationScoredBeforeDetach: a single observation in a pool
+// whose batch could hold 1024 is scored as soon as its worker is free —
+// no Detach, no timer — and the pool runs exactly Workers goroutines.
+func TestLoneObservationScoredBeforeDetach(t *testing.T) {
 	sys := testSystem(t)
-	ctrl, proc := plantRows(41, 5, 0, 0, 0)
-	p, err := NewPool(sys, Config{
-		Workers: 1, Batch: 1024, FlushEvery: time.Millisecond, Sample: time.Second,
-	})
+	ctrl, proc := plantRows(41, 1, 0, 0, 0)
+	const workers = 2
+	p, err := NewPool(sys, Config{Workers: workers, Batch: 1024, Sample: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scored := make(chan int, 16)
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	if got := strings.Count(stacks, "created by pcsmon/internal/fleet.NewPool"); got != workers {
+		t.Errorf("pool runs %d goroutines, want %d (one per worker)", got, workers)
+	}
+	scored := make(chan int, 1)
 	go func() {
 		for ev := range p.Events() {
 			if s, ok := ev.(*Scored); ok {
@@ -109,29 +106,98 @@ func TestBatchFlushTickDelivers(t *testing.T) {
 			}
 		}
 	}()
-	if err := p.Attach("tick", 0); err != nil {
+	if err := p.Attach("lone", 0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if err := p.Push("tick", ctrl[i], proc[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := p.Push("lone", ctrl[0], proc[0]); err != nil {
+		t.Fatal(err)
 	}
-	for want := 0; want < 5; want++ {
-		select {
-		case idx := <-scored:
-			if idx != want {
-				t.Fatalf("Scored index %d, want %d", idx, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("flush tick never delivered observation %d", want)
+	select {
+	case idx := <-scored:
+		if idx != 0 {
+			t.Fatalf("Scored index %d, want 0", idx)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("lone observation never scored before Detach")
 	}
-	if _, err := p.Detach("tick"); err != nil {
+	if _, err := p.Detach("lone"); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockedProducerReleased: a producer parked on a full pending batch —
+// its worker stuck emitting to a consumer that is not reading — is
+// released by Detach and by Close with the matching error instead of
+// hanging; both then complete once the consumer reads again.
+func TestBlockedProducerReleased(t *testing.T) {
+	sys := testSystem(t)
+	ctrl, proc := plantRows(42, 1, 0, 0, 0)
+	for _, tc := range []struct {
+		name string
+		stop func(p *Pool) error
+		want error
+	}{
+		{"detach", func(p *Pool) error { _, err := p.Detach("stuck"); return err }, ErrUnknownPlant},
+		{"close", func(p *Pool) error { return p.Close() }, ErrClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPool(sys, Config{Workers: 1, Batch: 2, EventBuffer: 1, Sample: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Attach("stuck", 0); err != nil {
+				t.Fatal(err)
+			}
+			// Nobody reads Events yet: the worker blocks on its second
+			// Scored event, the pending batch fills, and Push parks.
+			st := p.shard("stuck").streams["stuck"]
+			var started, returned atomic.Int64
+			pushErr := make(chan error, 1)
+			go func() {
+				for {
+					started.Add(1)
+					if err := p.Push("stuck", ctrl[0], proc[0]); err != nil {
+						pushErr <- err
+						return
+					}
+					returned.Add(1)
+				}
+			}()
+			full := func() bool {
+				st.pendMu.Lock()
+				defer st.pendMu.Unlock()
+				return len(st.pending) == cap(st.pending)
+			}
+			for !full() || started.Load() == returned.Load() {
+				runtime.Gosched()
+			}
+			stopErr := make(chan error, 1)
+			go func() { stopErr <- tc.stop(p) }()
+			select {
+			case err := <-pushErr:
+				if !errors.Is(err, tc.want) {
+					t.Errorf("released Push returned %v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s never released the parked producer", tc.name)
+			}
+			collect := drain(p)
+			select {
+			case err := <-stopErr:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s hung after the consumer resumed", tc.name)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			collect()
+		})
 	}
 }
 
@@ -165,7 +231,7 @@ func testSteadyStateZeroAlloc(t *testing.T, cfg Config) {
 	sys := testSystem(t)
 	const batch = 8
 	ctrl, proc := plantRows(51, 1, 0, 0, 0)
-	cfg.Workers, cfg.Batch, cfg.FlushEvery, cfg.EmitEvery, cfg.Sample = 1, batch, -1, 1, time.Second
+	cfg.Workers, cfg.Batch, cfg.EmitEvery, cfg.Sample = 1, batch, 1, time.Second
 	p, err := NewPool(sys, cfg)
 	if err != nil {
 		t.Fatal(err)

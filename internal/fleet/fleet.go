@@ -15,12 +15,16 @@
 //     registry shard of its plants under its own mutex, so attach/push/
 //     detach of different shards never contend — there is no pool-global
 //     lock on the data path.
-//   - All messages for one plant flow through one FIFO mailbox, so a
-//     plant's observations are scored in the exact order they were pushed
-//     and its events are emitted in that order. Events of different plants
-//     interleave arbitrarily.
+//   - Push appends to its stream's pending batch; the push that makes the
+//     batch non-empty posts one wake message to the worker's mailbox, and
+//     the worker takes the whole batch when it reaches that message. No
+//     timer is involved: an idle worker scores an observation at once, and
+//     a busy one finds a fuller batch next time.
+//   - A plant's observations are scored in the exact order they were
+//     pushed and its events are emitted in that order. Events of different
+//     plants interleave arbitrarily.
 //   - Nothing is dropped: when the event channel fills (a slow consumer),
-//     workers block, mailboxes fill, and Push blocks — back-pressure
+//     workers block, pending batches fill, and Push blocks — back-pressure
 //     propagates to the producers instead of losing or reordering events.
 //   - Push copies its rows into pooled scratch buffers before handing them
 //     to the worker; callers may reuse their row slices immediately. The
@@ -131,28 +135,23 @@ func (ModelSwapped) fleetEvent() {}
 func (Verdict) fleetEvent()      {}
 
 // Config parameterizes a Pool. The zero value selects GOMAXPROCS workers,
-// a 64-message mailbox per worker and a 256-event emitter buffer.
+// a 64-message mailbox per worker, 16-observation batches and a 256-event
+// emitter buffer.
 type Config struct {
 	// Workers is the number of worker goroutines the streams are sharded
 	// over (0 = GOMAXPROCS). More workers than streams is wasteful but
 	// harmless; each stream is pinned to exactly one worker.
 	Workers int
-	// Mailbox is the per-worker queue depth in messages (0 = 64); with
-	// batching, each message carries up to Batch observations. A full
-	// mailbox blocks Push — the knob trading producer latency against
-	// memory.
+	// Mailbox is the per-worker queue depth in messages (0 = 64): one wake
+	// per stream with pending work, plus detach requests. A full mailbox
+	// blocks the Push that would post a wake.
 	Mailbox int
-	// Batch is the number of observations aggregated per mailbox message
-	// and per-stream send (0 = 16, 1 = per-observation delivery). Batching
-	// amortizes channel hops and send-lock traffic across K observations;
-	// results are bit-identical for every Batch value — each plant's rows
-	// are still scored one by one, in push order. Partially filled batches
-	// are delivered by the flush ticker and on Detach/Close.
+	// Batch is the most observations one stream holds while its worker is
+	// busy (0 = 16); a Push that finds its stream's pending batch full
+	// waits until the worker takes it. Each stream preallocates two
+	// Batch-slot queues. Results are bit-identical for every Batch value —
+	// each plant's rows are still scored one by one, in push order.
 	Batch int
-	// FlushEvery is the cadence at which partially filled batches are
-	// delivered (0 = 2ms, negative = no timed flush — batches move only
-	// when full or on Detach/Close). Only meaningful when Batch > 1.
-	FlushEvery time.Duration
 	// EventBuffer is the fan-in event channel depth (0 = 256). A full
 	// buffer blocks the workers (and transitively Push) until the consumer
 	// catches up; events are never dropped.
@@ -191,9 +190,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Batch == 0 {
 		c.Batch = 16
-	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = 2 * time.Millisecond
 	}
 	return c
 }
@@ -252,35 +248,33 @@ type stream struct {
 	samples  int
 	finished bool
 
-	// pending is the stream's accumulating batch (batched pools only).
-	// pendMu guards it and also serializes the mailbox sends that move a
-	// batch out, so a producer's full-batch send and the flush ticker's
-	// partial-batch send can never reorder one plant's observations.
-	pendMu  sync.Mutex
-	pending *obsBatch
+	// pending holds the observations pushed since the worker last took
+	// them, in push order (capacity Config.Batch). pendMu guards pending
+	// and gone; pendFull, over pendMu, parks producers that find pending
+	// full. scoring is the worker's swap buffer: the worker trades it for
+	// pending under pendMu and owns it alone in between.
+	pendMu   sync.Mutex
+	pendFull sync.Cond
+	pending  []obsRows
+	scoring  []obsRows
+	gone     error // set by Detach/Close: later pushes fail with it
 
 	report *core.Report
 	err    error
 	done   chan struct{} // closed by the worker after the Verdict event
 }
 
-// obsBatch aggregates up to Config.Batch observations of one stream into a
-// single mailbox message. Boxes travel by pointer from the same free-list
-// as single-observation messages; a nil box marks that view's stream as
-// ended, exactly like the unbatched path.
-type obsBatch struct {
-	n          int
-	ctrl, proc []*[]float64
+// obsRows is one queued observation: row boxes owned by the pool's scratch
+// free-list; a nil box marks that view's stream as ended.
+type obsRows struct {
+	ctrl, proc *[]float64
 }
 
-// message is one mailbox entry: an observation (row boxes owned by the
-// pool's scratch free-list; a nil box marks that view's stream as ended),
-// a batch of observations, or, when finish is set, the detach request.
+// message is one mailbox entry: a wake for a stream whose pending batch
+// became non-empty, or, when finish is set, the detach request.
 type message struct {
-	st         *stream
-	ctrl, proc *[]float64
-	batch      *obsBatch
-	finish     bool
+	st     *stream
+	finish bool
 }
 
 // Pool shards plant streams over a fixed worker set. Create with NewPool;
@@ -306,7 +300,6 @@ type Pool struct {
 	mailboxesClosed bool
 
 	scratch sync.Pool // *[]float64 row boxes of cols length
-	batches sync.Pool // *obsBatch boxes of cfg.Batch capacity
 	scored  sync.Pool // *Scored emission boxes, refilled by Recycle
 
 	// Observability hooks wired by registerObs (all nil/no-op when
@@ -314,8 +307,6 @@ type Pool struct {
 	scoreLatency *obs.Histogram
 	batchOcc     *obs.Histogram
 	health       *obs.HealthRegistry
-
-	flushQuit chan struct{} // stops the batch flusher (nil when unbatched)
 
 	attached     atomic.Uint64
 	observations atomic.Uint64
@@ -381,11 +372,6 @@ func NewPool(sys *core.System, cfg Config) (*Pool, error) {
 		p.wg.Add(1)
 		go w.run()
 	}
-	if cfg.Batch > 1 && cfg.FlushEvery > 0 {
-		p.flushQuit = make(chan struct{})
-		p.wg.Add(1)
-		go p.flushLoop()
-	}
 	if err := p.registerObs(); err != nil {
 		_ = p.Close()
 		return nil, err
@@ -426,7 +412,12 @@ func (p *Pool) Attach(id string, onset int) error {
 		return fmt.Errorf("fleet: %w", err)
 	}
 	w := p.shard(id)
-	st := &stream{id: id, w: w, oa: oa, gen: gen, done: make(chan struct{})}
+	st := &stream{
+		id: id, w: w, oa: oa, gen: gen, done: make(chan struct{}),
+		pending: make([]obsRows, 0, p.cfg.Batch),
+		scoring: make([]obsRows, 0, p.cfg.Batch),
+	}
+	st.pendFull.L = &st.pendMu
 	if p.health != nil {
 		st.hp = p.health.Attach(id)
 		st.hp.SetGeneration(gen)
@@ -449,12 +440,13 @@ func (p *Pool) Attach(id string, onset int) error {
 // Push scores the next paired observation of plant id. The rows are copied
 // before Push returns; the caller may reuse its slices. A nil row marks
 // that view's stream as ended (core.OnlineAnalyzer semantics); a
-// single-view feed passes the same slice twice. Push blocks when the
-// plant's worker mailbox is full — the back-pressure path.
+// single-view feed passes the same slice twice. Push blocks while the
+// plant's pending batch is full or its worker's mailbox is — the
+// back-pressure path.
 //
 // Pushing concurrently with Detach of the same plant is a caller-side
-// race: observations enqueued after the detach are discarded (never
-// scored out of order).
+// race: a push that loses it fails with ErrUnknownPlant (ErrClosed under
+// Close) and its observation is not scored.
 //
 //pcslint:hotpath
 func (p *Pool) Push(id string, ctrl, proc []float64) error {
@@ -475,98 +467,47 @@ func (p *Pool) Push(id string, ctrl, proc []float64) error {
 	if !ok {
 		return fmt.Errorf("fleet: %q: %w", id, ErrUnknownPlant)
 	}
-	var cb, pb *[]float64
+	var rows obsRows
 	if ctrl != nil {
-		cb = p.getRow()
-		copy(*cb, ctrl)
+		rows.ctrl = p.getRow()
+		copy(*rows.ctrl, ctrl)
 	}
 	if proc != nil {
-		pb = p.getRow()
-		copy(*pb, proc)
+		rows.proc = p.getRow()
+		copy(*rows.proc, proc)
 	}
-	if p.cfg.Batch > 1 {
-		return p.pushBatched(w, st, cb, pb)
+	st.pendMu.Lock()
+	for len(st.pending) == cap(st.pending) && st.gone == nil {
+		st.pendFull.Wait()
 	}
-	if !p.trySend(w, message{st: st, ctrl: cb, proc: pb}) {
-		p.putRow(cb)
-		p.putRow(pb)
+	if err := st.gone; err != nil {
+		st.pendMu.Unlock()
+		p.putRow(rows.ctrl)
+		p.putRow(rows.proc)
+		return err
+	}
+	// The wait above left room: reslicing within capacity never allocates.
+	n := len(st.pending)
+	st.pending = st.pending[:n+1]
+	st.pending[n] = rows
+	st.pendMu.Unlock()
+	// The push that made the batch non-empty wakes the worker; later ones
+	// ride along until the worker takes the batch.
+	if n == 0 && !p.trySend(w, message{st: st}) {
 		return ErrClosed
 	}
 	return nil
 }
 
-// pushBatched appends one boxed observation to the stream's pending batch
-// and ships the batch when it reaches Config.Batch. The mailbox send happens
-// under the stream's pending lock — that lock, not channel-queue order, is
-// what keeps a full-batch send from racing a flush-tick send of the same
-// plant.
-func (p *Pool) pushBatched(w *worker, st *stream, cb, pb *[]float64) error {
+// stop fails the stream's later pushes with err and releases any producer
+// parked on a full pending batch. Detach and Close call it before they
+// send the finish message, so the batch the worker drains at finish is
+// the last one.
+func (st *stream) stop(err error) {
 	st.pendMu.Lock()
-	b := st.pending
-	if b == nil {
-		b = p.getBatch()
-		st.pending = b
-	}
-	b.ctrl[b.n] = cb
-	b.proc[b.n] = pb
-	b.n++
-	if b.n < p.cfg.Batch {
-		st.pendMu.Unlock()
-		return nil
-	}
-	st.pending = nil
-	ok := p.trySend(w, message{st: st, batch: b})
+	st.gone = err
 	st.pendMu.Unlock()
-	if !ok {
-		p.putBatch(b)
-		return ErrClosed
-	}
-	return nil
-}
-
-// flushPending ships the stream's partially filled batch, if any. Callers
-// on the detach path invoke it before the finish message so every pushed
-// observation is scored first.
-func (p *Pool) flushPending(st *stream) {
-	st.pendMu.Lock()
-	b := st.pending
-	if b == nil {
-		st.pendMu.Unlock()
-		return
-	}
-	st.pending = nil
-	ok := p.trySend(st.w, message{st: st, batch: b})
-	st.pendMu.Unlock()
-	if !ok {
-		p.putBatch(b)
-	}
-}
-
-// flushLoop delivers partially filled batches on the FlushEvery cadence so
-// a slow producer's observations never sit unscored longer than one tick.
-func (p *Pool) flushLoop() {
-	defer p.wg.Done()
-	tick := time.NewTicker(p.cfg.FlushEvery)
-	defer tick.Stop()
-	var snapshot []*stream
-	for {
-		select {
-		case <-p.flushQuit:
-			return
-		case <-tick.C:
-		}
-		for _, w := range p.workers {
-			snapshot = snapshot[:0]
-			w.mu.Lock()
-			for _, st := range w.streams {
-				snapshot = append(snapshot, st)
-			}
-			w.mu.Unlock()
-			for _, st := range snapshot {
-				p.flushPending(st)
-			}
-		}
-	}
+	st.pendFull.Broadcast()
 }
 
 // trySend delivers one mailbox message under the read side of sendMu,
@@ -596,7 +537,7 @@ func (p *Pool) Detach(id string) (*core.Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("fleet: %q: %w", id, ErrUnknownPlant)
 	}
-	p.flushPending(st)
+	st.stop(fmt.Errorf("fleet: %q detached: %w", id, ErrUnknownPlant))
 	if p.trySend(w, message{st: st, finish: true}) {
 		<-st.done
 		return st.report, st.err
@@ -633,14 +574,11 @@ func (p *Pool) Close() error {
 	for _, st := range rest {
 		// Close owns these streams (they were removed from the registry
 		// above) and the mailboxes are still open: the sends cannot fail.
-		p.flushPending(st)
+		st.stop(ErrClosed)
 		p.trySend(st.w, message{st: st, finish: true})
 	}
 	for _, st := range rest {
 		<-st.done
-	}
-	if p.flushQuit != nil {
-		close(p.flushQuit)
 	}
 	// Exclude in-flight sends (a Push that read the shard open just before
 	// we flipped it), then shut the mailboxes down; later senders see
@@ -710,8 +648,8 @@ func (p *Pool) AdaptStats() adapt.Stats {
 }
 
 // getRow takes a cols-sized row box from the free-list. Boxes travel
-// through the mailboxes by pointer, so the steady-state path re-boxes
-// nothing.
+// through the pending batches by pointer, so the steady-state path
+// re-boxes nothing.
 func (p *Pool) getRow() *[]float64 {
 	if v := p.scratch.Get(); v != nil {
 		return v.(*[]float64)
@@ -729,29 +667,6 @@ func (p *Pool) putRow(b *[]float64) {
 	p.scratch.Put(b)
 }
 
-// getBatch takes a Config.Batch-capacity batch box from the free-list.
-func (p *Pool) getBatch() *obsBatch {
-	if v := p.batches.Get(); v != nil {
-		return v.(*obsBatch)
-	}
-	//pcslint:ignore hotpath -- free-list miss: batch boxes are allocated only until the sync.Pool warms, then recycled
-	return &obsBatch{ctrl: make([]*[]float64, p.cfg.Batch), proc: make([]*[]float64, p.cfg.Batch)}
-}
-
-// putBatch recycles a batch box and every row box still in it.
-func (p *Pool) putBatch(b *obsBatch) {
-	if b == nil {
-		return
-	}
-	for i := 0; i < b.n; i++ {
-		p.putRow(b.ctrl[i])
-		p.putRow(b.proc[i])
-		b.ctrl[i], b.proc[i] = nil, nil
-	}
-	b.n = 0
-	p.batches.Put(b)
-}
-
 // Recycle hands a delivered event back to the pool's emission free-list.
 // Only pooled event types (Scored) are recycled; any other event is a
 // no-op, so consumers may call it unconditionally on every event they have
@@ -762,36 +677,43 @@ func (p *Pool) Recycle(ev Event) {
 	}
 }
 
-// run is the worker loop: score observations in mailbox order, learn and
-// swap when the pool is adaptive, emit events, finalize on detach. It exits
-// when the mailbox is closed.
+// run is the worker loop: score each woken stream's pending batch, learn
+// and swap when the pool is adaptive, emit events, finalize on detach. It
+// exits when the mailbox is closed.
 func (w *worker) run() {
 	defer w.pool.wg.Done()
-	p := w.pool
 	for msg := range w.in {
-		st := msg.st
-		switch {
-		case msg.finish:
-			w.finish(st)
-		case msg.batch != nil:
-			if p.batchOcc != nil {
-				p.batchOcc.Observe(float64(msg.batch.n))
-			}
-			for i := 0; i < msg.batch.n; i++ {
-				w.score(st, msg.batch.ctrl[i], msg.batch.proc[i])
-				msg.batch.ctrl[i], msg.batch.proc[i] = nil, nil
-			}
-			msg.batch.n = 0
-			p.batches.Put(msg.batch)
-		default:
-			w.score(st, msg.ctrl, msg.proc)
+		if msg.finish {
+			w.finish(msg.st)
+		} else {
+			w.drain(msg.st)
 		}
 	}
 }
 
+// drain takes the stream's whole pending batch, trading it for the empty
+// swap buffer, and scores it in push order. A batch that was full may have
+// parked producers; they are released as soon as the batch is taken.
+func (w *worker) drain(st *stream) {
+	st.pendMu.Lock()
+	b := st.pending
+	st.pending = st.scoring
+	st.pendMu.Unlock()
+	if len(b) == cap(b) {
+		st.pendFull.Broadcast()
+	}
+	if p := w.pool; p.batchOcc != nil && len(b) > 0 {
+		p.batchOcc.Observe(float64(len(b)))
+	}
+	for _, o := range b {
+		w.score(st, o.ctrl, o.proc)
+	}
+	clear(b)
+	st.scoring = b[:0]
+}
+
 // score runs one boxed observation through the stream's analyzer and emits
-// its events — the per-observation body shared by the batched and unbatched
-// delivery paths. It consumes (recycles) the row boxes.
+// its events. It consumes (recycles) the row boxes.
 //
 //pcslint:hotpath
 func (w *worker) score(st *stream, ctrl, proc *[]float64) {
@@ -944,10 +866,12 @@ func (st *stream) finalize() {
 	}
 }
 
-// finish closes a stream: diagnosis + classification, Verdict event, and
-// the done handshake Detach waits on.
+// finish closes a stream: the last pending batch is scored, then
+// diagnosis + classification, Verdict event, and the done handshake Detach
+// waits on.
 func (w *worker) finish(st *stream) {
 	p := w.pool
+	w.drain(st)
 	st.finalize()
 	p.verdicts.Add(1)
 	p.events <- Verdict{Plant: st.id, Report: st.report, Samples: st.samples, Err: st.err}

@@ -68,7 +68,7 @@ func (p *Pool) registerObs() error {
 	for i, w := range p.workers {
 		w := w
 		err := r.GaugeFunc("pcsmon_fleet_mailbox_depth",
-			"Queued mailbox messages per worker (each carries up to Batch observations).",
+			"Queued mailbox messages per worker: one wake per stream with pending work, plus detach requests.",
 			func() float64 { return float64(len(w.in)) },
 			obs.Label{Key: "worker", Value: strconv.Itoa(i)})
 		if err != nil {
@@ -83,7 +83,7 @@ func (p *Pool) registerObs() error {
 		return fmt.Errorf("fleet: %w", err)
 	}
 	p.batchOcc, err = r.Histogram("pcsmon_fleet_batch_occupancy_observations",
-		"Observations per delivered mailbox batch.",
+		"Observations a worker took from one stream's pending batch per wake.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 	if err != nil {
 		return fmt.Errorf("fleet: %w", err)

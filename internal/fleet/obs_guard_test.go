@@ -35,7 +35,7 @@ func TestMetricsThroughputBudget(t *testing.T) {
 				// lifetime, exactly as one process-wide registry serves one
 				// pool.
 				cfg := mkCfg()
-				cfg.Workers, cfg.Batch, cfg.FlushEvery, cfg.EmitEvery, cfg.Sample = 1, 16, -1, -1, time.Second
+				cfg.Workers, cfg.Batch, cfg.EmitEvery, cfg.Sample = 1, 16, -1, time.Second
 				p, err := NewPool(sys, cfg)
 				if err != nil {
 					b.Fatal(err)
